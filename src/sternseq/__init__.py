@@ -29,7 +29,7 @@ from .core import (
     stern_row,
     stern_s,
 )
-from .fibonacci import fib, lucas
+from .fibonacci import fib, fib_lucas_table, lucas
 from .records import (
     AuditReport,
     RecordSetter,
@@ -76,6 +76,7 @@ __all__ = [
     "double_prime",
     "family_descriptors",
     "fib",
+    "fib_lucas_table",
     "g_split",
     "g_value",
     "generate_kbit",

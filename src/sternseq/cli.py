@@ -18,6 +18,7 @@ import argparse
 import json
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,26 @@ class RecordRow:
 def _emit(lines, out) -> None:
     for line in lines:
         print(line, file=out)
+
+
+@contextmanager
+def _unlimited_int_str():
+    """Lift Python's int-to-str digit limit for the duration of the block.
+
+    Record indices and values past about 14,285 bits have more than the
+    default 4,300 decimal digits.  The limit guards the parsing of
+    outside input, so it is lifted only while computed results are
+    formatted, and the previous limit is restored afterwards.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before Python 3.10.7
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def format_records(rows: list[RecordRow], fmt: str):
@@ -193,7 +214,8 @@ def cmd_records(args) -> int:
         rows = _rows_from_closed_form(k, args.convention, exact_bits)
     out = open(args.output, "w") if args.output else sys.stdout
     try:
-        _emit(format_records(rows, args.format), out)
+        with _unlimited_int_str():
+            _emit(format_records(rows, args.format), out)
     finally:
         if args.output:
             out.close()

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import stern_a
-from .fibonacci import fib, lucas
+from .fibonacci import fib_lucas_table
 from .records import records_in_bitlength
 from .tables import SMALL_BITLENGTH_MAX, SMALL_BITLENGTH_RECORDS
 
@@ -42,9 +42,7 @@ __all__ = [
     "count_kbit",
     "cross_validate",
     "family_descriptors",
-    "fib",
     "generate_kbit",
-    "lucas",
     "render_bits",
 ]
 
@@ -171,36 +169,40 @@ def closed_form_index(descriptor: FamilyDescriptor, n: int) -> int:
     raise AssertionError
 
 
-def closed_form_stern_value(descriptor: FamilyDescriptor, n: int) -> int:
-    """Stern value of the record-setter, as a Fibonacci/Lucas product."""
-    _check_descriptor(descriptor, n)
+# Smallest half-length at which a parameterless family's Fibonacci
+# indices are all non-negative (the others need only n >= 0).
+_MIN_HALF_LENGTH = {"O1": 2, "O2": 4}
+
+
+def _stern_value(descriptor: FamilyDescriptor, n: int, F: list[int], L: list[int]) -> int:
+    """Fibonacci/Lucas product of one family, read from tables covering ``0..2n+2``."""
     p = descriptor.parameter
     match descriptor.family_id:
         case "E1":
-            return lucas(2 * p + 3) * fib(2 * n - 2 * p - 3) + lucas(2 * p + 1) * fib(
-                2 * n - 2 * p - 4
-            )
+            return L[2 * p + 3] * F[2 * n - 2 * p - 3] + L[2 * p + 1] * F[2 * n - 2 * p - 4]
         case "E2":
-            return fib(2 * p + 2) * fib(2 * n - 2 * p) + fib(2 * p) * fib(
-                2 * n - 2 * p - 1
-            )
+            return F[2 * p + 2] * F[2 * n - 2 * p] + F[2 * p] * F[2 * n - 2 * p - 1]
         case "E3":
-            return fib(2 * n + 1)
+            return F[2 * n + 1]
         case "O1":
-            return fib(2 * n + 1) + fib(2 * n - 4)
+            return F[2 * n + 1] + F[2 * n - 4]
         case "O2":
-            return fib(2 * n + 1) + 8 * fib(2 * n - 8)
+            return F[2 * n + 1] + 8 * F[2 * n - 8]
         case "O3":
-            return lucas(2 * p + 3) * fib(2 * n - 2 * p - 2) + lucas(2 * p + 1) * fib(
-                2 * n - 2 * p - 3
-            )
+            return L[2 * p + 3] * F[2 * n - 2 * p - 2] + L[2 * p + 1] * F[2 * n - 2 * p - 3]
         case "O4":
-            return fib(2 * p + 4) * fib(2 * n - 2 * p - 1) + fib(2 * p + 2) * fib(
-                2 * n - 2 * p - 2
-            )
+            return F[2 * p + 4] * F[2 * n - 2 * p - 1] + F[2 * p + 2] * F[2 * n - 2 * p - 2]
         case "O5":
-            return fib(2 * n + 2)
+            return F[2 * n + 2]
     raise AssertionError
+
+
+def closed_form_stern_value(descriptor: FamilyDescriptor, n: int) -> int:
+    """Stern value of the record-setter, as a Fibonacci/Lucas product."""
+    _check_descriptor(descriptor, n)
+    if n < _MIN_HALF_LENGTH.get(descriptor.family_id, 0):
+        raise ValueError(f"{descriptor.family_id} has no closed-form value for n={n}")
+    return _stern_value(descriptor, n, *fib_lucas_table(2 * n + 2))
 
 
 def _half_length(k: int) -> int:
@@ -238,8 +240,9 @@ def generate_kbit(k: int) -> list[ClosedFormEntry]:
 
     Below 12 bits the entries come from the frozen table (values via
     the recurrence); from 12 bits on every family is instantiated over
-    its parameter range.  The list is sorted by index and verified to
-    be strictly increasing with the expected count.
+    its parameter range, its value read from one Fibonacci/Lucas table.
+    The list is sorted by index and verified to be strictly increasing
+    with the expected count.
     """
     if k < 1:
         raise ValueError("bit length must be >= 1")
@@ -250,6 +253,7 @@ def generate_kbit(k: int) -> list[ClosedFormEntry]:
         ]
     else:
         n = _half_length(k)
+        F, L = fib_lucas_table(2 * n + 2)
         entries = []
         for descriptor in family_descriptors(k):
             bits = render_bits(descriptor, n)
@@ -257,7 +261,7 @@ def generate_kbit(k: int) -> list[ClosedFormEntry]:
                 ClosedFormEntry(
                     index=int(bits, 2),
                     bits=bits,
-                    stern_value=closed_form_stern_value(descriptor, n),
+                    stern_value=_stern_value(descriptor, n, F, L),
                     descriptor=descriptor,
                 )
             )

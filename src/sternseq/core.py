@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .budget import check_bits_budget
+from .fibonacci import fib
 
 __all__ = [
     "HyperbinaryEnumeration",
@@ -215,7 +216,7 @@ def stern_row(k: int, chunk_size: int | None = None) -> SternRow:
     dtype, width = _cell_dtype(k)
     if width is not None:
         # Checked promotion: the Lucas bound F(k+1) must fit the cells.
-        assert _fib_bound(k + 1) <= int(np.iinfo(dtype).max)
+        assert fib(k + 1) <= int(np.iinfo(dtype).max)
     lo, hi = 1 << (k - 1), 1 << k
     if chunk_size is None:
         values = stern_range(lo, hi, dtype)
@@ -226,10 +227,3 @@ def stern_row(k: int, chunk_size: int | None = None) -> SternRow:
         ]
         values = np.concatenate(parts)
     return SternRow(bit_length=k, values=values, cell_width=width)
-
-
-def _fib_bound(n: int) -> int:
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a

@@ -1,29 +1,47 @@
-"""Fibonacci and Lucas numbers (exact integers)."""
+"""Fibonacci and Lucas numbers (exact integers).
+
+Cost model: :func:`fib_lucas_table` makes one additive pass, O(m)
+big-integer additions for ``F(0..m)`` and ``L(0..m)``; the scalars
+:func:`fib` and :func:`lucas` use fast doubling, O(log n)
+multiplications each.  Nothing is cached across calls, so a caller that
+needs many values of one range builds one table and indexes it.
+"""
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-__all__ = ["fib", "lucas"]
+__all__ = ["fib", "fib_lucas_table", "lucas"]
 
 
-@lru_cache(maxsize=None)
+def _fib_pair(n: int) -> tuple[int, int]:
+    """``(F(n), F(n+1))`` by fast doubling over the bits of ``n``."""
+    if n < 0:
+        raise ValueError("index must be non-negative")
+    a, b = 0, 1  # (F(m), F(m+1)) for the growing bit prefix m of n
+    for ch in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b  # F(2m), F(2m+1)
+        if ch == "1":
+            a, b = b, a + b
+    return a, b
+
+
 def fib(n: int) -> int:
     """``F(n)`` with ``F(0) = 0``, ``F(1) = 1``."""
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
+    return _fib_pair(n)[0]
 
 
-@lru_cache(maxsize=None)
 def lucas(n: int) -> int:
     """``L(n)`` with ``L(0) = 2``, ``L(1) = 1``."""
-    if n < 0:
+    f, f_next = _fib_pair(n)
+    return 2 * f_next - f
+
+
+def fib_lucas_table(m: int) -> tuple[list[int], list[int]]:
+    """Lists ``F`` and ``L`` with ``F[i] = F(i)`` and ``L[i] = L(i)`` for ``0 <= i <= m``."""
+    if m < 0:
         raise ValueError("index must be non-negative")
-    a, b = 2, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
+    F = [0, 1]
+    for _ in range(m):
+        F.append(F[-1] + F[-2])
+    L = [2] + [F[i - 1] + F[i + 1] for i in range(1, m + 1)]
+    del F[-1]  # F(m+1) was needed only for L(m)
+    return F, L

@@ -1,11 +1,13 @@
 """Tests for the command-line interface and its output formats."""
 
 import json
+import sys
 
 import pytest
 
+from sternseq import ClosedFormEntry, FamilyDescriptor, cli, closed_form_index, closed_form_stern_value
 from sternseq.budget import MAX_BITS_ENV_VAR
-from sternseq.cli import EXIT_BUDGET, EXIT_OK, main, parse_bfile
+from sternseq.cli import EXIT_BUDGET, EXIT_OK, FORMATS, RecordRow, main, parse_bfile
 from sternseq.tables import FIRST_RECORDS, SMALL_BITLENGTH_RECORDS
 
 
@@ -267,3 +269,43 @@ class TestParseBfile:
     def test_skips_comments_and_blanks(self):
         text = "# header\n\n0 0\n1 1\n  3 2  \n"
         assert parse_bfile(text) == [(0, 0), (1, 1), (3, 2)]
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int-to-str limit"
+)
+class TestBeyondIntStrLimit:
+    """The 14,300-bit E3 record-setter has an index of 4,305 decimal digits."""
+
+    @pytest.fixture(scope="class")
+    def e3_entry(self):
+        descriptor = FamilyDescriptor("even", "E3")
+        index = closed_form_index(descriptor, 7150)
+        value = closed_form_stern_value(descriptor, 7150)
+        return ClosedFormEntry(index, format(index, "b"), value, descriptor)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_format_records_restores_limit(self, e3_entry, fmt):
+        row = RecordRow(e3_entry.index, e3_entry.stern_value, 14300, "E3")
+        limit = sys.get_int_max_str_digits()
+        with cli._unlimited_int_str():
+            text = "\n".join(cli.format_records([row], fmt))
+            digits = str(e3_entry.index)
+        assert sys.get_int_max_str_digits() == limit
+        assert len(digits) == 4305 and digits in text
+        assert str(e3_entry.stern_value) in text
+        # Outside input is still parsed under the default guard.
+        with pytest.raises(ValueError):
+            parse_bfile(f"{digits} 1")
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_records_command_exits_zero(self, capsys, monkeypatch, e3_entry, fmt):
+        monkeypatch.setattr(cli, "generate_kbit", lambda k: [e3_entry])
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(
+            capsys, "records", "--bits", "14300", "--source", "closed-form", "--format", fmt
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert sys.get_int_max_str_digits() == limit
+        with cli._unlimited_int_str():
+            assert str(e3_entry.index) in out[-1]

@@ -10,6 +10,7 @@ from sternseq import (
     cross_validate,
     family_descriptors,
     fib,
+    fib_lucas_table,
     g_value,
     generate_kbit,
     lucas,
@@ -40,6 +41,33 @@ class TestFibLucas:
             fib(-1)
         with pytest.raises(ValueError):
             lucas(-2)
+        with pytest.raises(ValueError):
+            fib_lucas_table(-1)
+
+    def test_no_cache(self):
+        assert not hasattr(fib, "cache_info")
+        assert not hasattr(lucas, "cache_info")
+
+    def test_fast_doubling_matches_additive_loop(self):
+        f, f_next = 0, 1
+        l, l_next = 2, 1
+        for n in range(2001):
+            assert fib(n) == f
+            assert lucas(n) == l
+            f, f_next = f_next, f + f_next
+            l, l_next = l_next, l + l_next
+
+    @pytest.mark.parametrize("m", [10**5, 10**5 + 1])
+    def test_doubling_and_cassini_at_large_n(self, m):
+        f_prev, f, f_next = fib(m - 1), fib(m), fib(m + 1)
+        assert fib(2 * m) == f * lucas(m)
+        assert f_prev * f_next - f * f == (-1) ** m
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 500])
+    def test_table_matches_scalars(self, m):
+        F, L = fib_lucas_table(m)
+        assert F == [fib(i) for i in range(m + 1)]
+        assert L == [lucas(i) for i in range(m + 1)]
 
 
 class TestFamilies:
@@ -95,6 +123,17 @@ class TestClosedForms:
         assert stern_a(2219) == 157
         assert stern_a(5461) == 377
 
+    def test_stern_value_rejects_negative_fibonacci_indices(self):
+        for descriptor, n in [
+            (FamilyDescriptor("odd", "O1"), 1),
+            (FamilyDescriptor("odd", "O2"), 3),
+            (FamilyDescriptor("even", "E3"), -1),
+        ]:
+            with pytest.raises(ValueError):
+                closed_form_stern_value(descriptor, n)
+        o2 = FamilyDescriptor("odd", "O2")
+        assert closed_form_stern_value(o2, 4) == stern_a(int(render_bits(o2, 4), 2)) == 34
+
     @pytest.mark.parametrize("k", range(12, 65))
     def test_index_formula_matches_rendering(self, k):
         n = _half_length(k)
@@ -143,6 +182,15 @@ class TestGenerateKbit:
         assert all(e.index.bit_length() == k for e in entries)
         assert all(a.index < b.index for a, b in zip(entries, entries[1:]))
         assert all(int(e.bits, 2) == e.index for e in entries)
+
+    @pytest.mark.parametrize("k", [1000, 1001])
+    def test_deep_row_values_match_recurrence(self, k):
+        # Independent of the table: the recurrence on each index, and the
+        # single-descriptor path with a table of its own.
+        n = _half_length(k)
+        for entry in generate_kbit(k):
+            assert entry.stern_value == stern_a(entry.index)
+            assert closed_form_stern_value(entry.descriptor, n) == entry.stern_value
 
     def test_validation(self):
         with pytest.raises(ValueError):
