@@ -9,7 +9,6 @@ closed-form classification of all record-setters from 12 bits on.
 
 from .budget import BudgetExceededError, memory_ceiling_bits
 from .closedform import (
-    ClosedFormEntry,
     FamilyDescriptor,
     closed_form_index,
     closed_form_stern_value,
@@ -59,7 +58,6 @@ __all__ = [
     "AuditReport",
     "Bottom",
     "BudgetExceededError",
-    "ClosedFormEntry",
     "Comparator",
     "FamilyDescriptor",
     "HyperbinaryEnumeration",

@@ -18,12 +18,13 @@ import argparse
 import json
 import random
 import sys
-from contextlib import contextmanager
-from dataclasses import dataclass
+from contextlib import contextmanager, nullcontext
+from dataclasses import replace
 
 import numpy as np
 
 from .budget import (
+    DEFAULT_MAX_BITS,
     MAX_BITS_ENV_VAR,
     BudgetExceededError,
     check_bits_budget,
@@ -33,6 +34,7 @@ from .closedform import CLOSED_FORM_MIN_BITS, cross_validate, generate_kbit
 from .core import hyperbinary_count_dp, stern_a, stern_range, stern_s
 from .fibonacci import fib
 from .records import (
+    RecordSetter,
     audit_substring_properties,
     records_in_bitlength,
     records_scan,
@@ -59,21 +61,24 @@ IDENTITY_SAMPLES = 10_000
 IDENTITY_SEED = 20220926
 
 
-@dataclass(frozen=True)
-class RecordRow:
-    index: int
-    value: int
-    k: int
-    family: str | None
-
-    @property
-    def bits(self) -> str:
-        return format(self.index, "b")
+class UsageError(Exception):
+    """A request the command line cannot carry out as given (exit code 2)."""
 
 
 def _emit(lines, out) -> None:
     for line in lines:
         print(line, file=out)
+
+
+@contextmanager
+def _output(path: str | None):
+    """The file at ``path`` opened for writing, or standard output if no path is given."""
+    try:
+        out = open(path, "w") if path else nullcontext(sys.stdout)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+    with out as stream:
+        yield stream
 
 
 @contextmanager
@@ -96,37 +101,31 @@ def _unlimited_int_str():
         sys.set_int_max_str_digits(previous)
 
 
-def format_records(rows: list[RecordRow], fmt: str):
-    """Render record rows in one of the output formats.
+def format_records(records: list[RecordSetter], fmt: str):
+    """Render records, one line each, in one of the output formats.
 
     ``bfile`` follows the OEIS flat-file convention ("index value" per
     line); ``jsonlines`` string-encodes the integers so arbitrarily
-    large values survive tools that parse numbers as doubles.
+    large values survive tools that parse numbers as doubles.  The
+    family column is the descriptor's family id, if any.
     """
-    if fmt == "bfile":
-        return (f"{r.index} {r.value}" for r in rows)
-    if fmt == "plain":
-        return (
-            f"{r.index} {r.bits} {r.value}" + (f" {r.family}" if r.family else "")
-            for r in rows
-        )
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
     if fmt == "csv":
-        header = ["index,bits,value,k,family"]
-        return iter(
-            header
-            + [f"{r.index},{r.bits},{r.value},{r.k},{r.family or ''}" for r in rows]
-        )
-    if fmt == "jsonlines":
-
-        def lines():
-            for r in rows:
-                doc = {"index": str(r.index), "bits": r.bits, "value": str(r.value), "k": r.k}
-                if r.family is not None:
-                    doc["family"] = r.family
-                yield json.dumps(doc)
-
-        return lines()
-    raise ValueError(f"unknown format {fmt!r}")
+        yield "index,bits,value,k,family"
+    for r in records:
+        family = r.descriptor.family_id if r.descriptor else None
+        if fmt == "bfile":
+            yield f"{r.index} {r.value}"
+        elif fmt == "plain":
+            yield f"{r.index} {r.bits} {r.value}" + (f" {family}" if family else "")
+        elif fmt == "csv":
+            yield f"{r.index},{r.bits},{r.value},{r.bit_length},{family or ''}"
+        else:
+            doc = {"index": str(r.index), "bits": r.bits, "value": str(r.value), "k": r.bit_length}
+            if family is not None:
+                doc["family"] = family
+            yield json.dumps(doc)
 
 
 def parse_bfile(text: str) -> list[tuple[int, int]]:
@@ -141,46 +140,28 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def _family_lookup(k: int) -> dict[int, str]:
-    if k < CLOSED_FORM_MIN_BITS:
-        return {}
-    return {
-        entry.index: entry.descriptor.family_id
-        for entry in generate_kbit(k)
-        if entry.descriptor is not None
-    }
-
-
-def _rows_from_scan(k: int, convention: str, exact_bits: bool) -> list[RecordRow]:
+def _scanned(k: int, convention: str, exact_bits: bool) -> list[RecordSetter]:
+    """The scanned records, each given the descriptor of its "A" index."""
     records = records_in_bitlength(k, convention) if exact_bits else records_scan(k, convention)
     shift = 1 if convention == "S" else 0
-    families: dict[int, dict[int, str]] = {}
-    rows = []
-    for r in records:
-        lookup = families.setdefault(r.bit_length, _family_lookup(r.bit_length))
-        rows.append(
-            RecordRow(
-                index=r.index,
-                value=r.value,
-                k=r.bit_length,
-                family=lookup.get(r.index + shift),
-            )
-        )
-    return rows
+    descriptors = {
+        entry.index - shift: entry.descriptor
+        for kk in range(max(CLOSED_FORM_MIN_BITS, k if exact_bits else 1), k + 1)
+        for entry in generate_kbit(kk)
+    }
+    return [replace(r, descriptor=descriptors.get(r.index)) for r in records]
 
 
-def _rows_from_closed_form(k: int, convention: str, exact_bits: bool) -> list[RecordRow]:
-    rows = []
-    for kk in range(1, k + 1) if not exact_bits else (k,):
-        for entry in generate_kbit(kk):
-            family = entry.descriptor.family_id if entry.descriptor else None
-            index = entry.index if convention == "A" else entry.index - 1
-            if exact_bits and index.bit_length() != kk:
-                continue  # the 1-bit record maps to s-index 0
-            rows.append(
-                RecordRow(index=index, value=entry.stern_value, k=index.bit_length(), family=family)
-            )
-    return rows
+def _closed_form(k: int, convention: str, exact_bits: bool) -> list[RecordSetter]:
+    """The closed-form records, shifted down by one index under convention "S"."""
+    records = []
+    for kk in (k,) if exact_bits else range(1, k + 1):
+        for r in generate_kbit(kk):
+            if convention == "S":
+                r = replace(r, index=r.index - 1, convention="S")
+            if not exact_bits or r.bit_length == kk:  # the 1-bit record maps to s-index 0
+                records.append(r)
+    return records
 
 
 # ----------------------------- subcommands -----------------------------
@@ -189,8 +170,7 @@ def _rows_from_closed_form(k: int, convention: str, exact_bits: bool) -> list[Re
 def cmd_value(args) -> int:
     n = args.n
     if n < 0:
-        print("error: the index must be non-negative", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("the index must be non-negative")
     shifted = n if args.convention == "S" else n - 1
     if args.method == "recurrence":
         value = stern_s(n) if args.convention == "S" else stern_a(n)
@@ -206,39 +186,26 @@ def cmd_records(args) -> int:
     exact_bits = args.bits is not None
     k = args.bits if exact_bits else args.max_bits
     if k < 1:
-        print("error: bit length must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.source == "scan":
-        rows = _rows_from_scan(k, args.convention, exact_bits)
-    else:
-        rows = _rows_from_closed_form(k, args.convention, exact_bits)
-    out = open(args.output, "w") if args.output else sys.stdout
-    try:
-        with _unlimited_int_str():
-            _emit(format_records(rows, args.format), out)
-    finally:
-        if args.output:
-            out.close()
+        raise UsageError("bit length must be >= 1")
+    source = _scanned if args.source == "scan" else _closed_form
+    records = source(k, args.convention, exact_bits)
+    with _output(args.output) as out, _unlimited_int_str():
+        _emit(format_records(records, args.format), out)
     return EXIT_OK
 
 
 def cmd_plot(args) -> int:
     if args.max < 0:
-        print("error: --max must be non-negative", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--max must be non-negative")
     check_bits_budget(args.max.bit_length(), f"plot of values up to index {args.max}")
     values = stern_range(0, args.max + 1, np.int64)
     running = np.maximum.accumulate(values)
     sep = "," if args.format == "csv" else " "
-    out = open(args.output, "w") if args.output else sys.stdout
-    try:
+    with _output(args.output) as out:
         _emit(
             (f"{n}{sep}{int(a)}{sep}{int(m)}" for n, (a, m) in enumerate(zip(values, running))),
             out,
         )
-    finally:
-        if args.output:
-            out.close()
     return EXIT_OK
 
 
@@ -354,13 +321,11 @@ def cmd_verify(args) -> int:
     try:
         lo, hi = _parse_k_range(args.k_range)
     except ValueError:
-        print(f"error: --k-range must look like 1..12, got {args.k_range!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"--k-range must look like 1..12, got {args.k_range!r}") from None
     suites = args.suites.split(",") if args.suites else list(SUITES)
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
-        print(f"error: unknown suites {unknown}; pick from {','.join(SUITES)}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"unknown suites {unknown}; pick from {','.join(SUITES)}")
     any_failed = False
     for suite in suites:
         notes: list[str] = []
@@ -394,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sternseq",
         description="Stern diatomic sequence: values, record-setters, verification.",
         epilog=(
-            f"Dense scans are limited to indices below 2**{memory_ceiling_bits()} "
-            f"(override with {MAX_BITS_ENV_VAR})."
+            f"Dense scans are limited to indices below 2**{DEFAULT_MAX_BITS} "
+            f"by default (override with {MAX_BITS_ENV_VAR})."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -441,12 +406,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        memory_ceiling_bits()  # checked before parsing, so that --help reports a bad value too
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
+    except (UsageError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return EXIT_BUDGET if isinstance(exc, BudgetExceededError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -21,6 +21,8 @@ division by 3) and an explicit Stern value built from Fibonacci and
 Lucas products; below 12 bits the record-setters are irregular and ship
 as frozen data (:mod:`sternseq.tables`).
 
+:func:`generate_kbit` returns the same :class:`~sternseq.records.RecordSetter`
+records as the scan, each carrying its :class:`FamilyDescriptor`.
 Everything here is cross-checked against the brute-force scan by
 :func:`cross_validate`.
 """
@@ -31,11 +33,10 @@ from dataclasses import dataclass
 
 from .core import stern_a
 from .fibonacci import fib_lucas_table
-from .records import records_in_bitlength
+from .records import RecordSetter, records_in_bitlength
 from .tables import SMALL_BITLENGTH_MAX, SMALL_BITLENGTH_RECORDS
 
 __all__ = [
-    "ClosedFormEntry",
     "FamilyDescriptor",
     "closed_form_index",
     "closed_form_stern_value",
@@ -52,7 +53,7 @@ EVEN_FAMILIES = ("E1", "E2", "E3")
 ODD_FAMILIES = ("O1", "O2", "O3", "O4", "O5")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FamilyDescriptor:
     """One record-setter pattern: family id plus its free parameter."""
 
@@ -64,16 +65,6 @@ class FamilyDescriptor:
         families = EVEN_FAMILIES if self.parity == "even" else ODD_FAMILIES
         if self.parity not in ("even", "odd") or self.family_id not in families:
             raise ValueError(f"unknown family {self.parity}/{self.family_id}")
-
-
-@dataclass(frozen=True)
-class ClosedFormEntry:
-    """A concrete record-setter: bits, integer index, and Stern value."""
-
-    index: int
-    bits: str
-    stern_value: int
-    descriptor: FamilyDescriptor | None = None
 
 
 def _parameter_range(family_id: str, n: int) -> range | None:
@@ -235,7 +226,7 @@ def count_kbit(k: int) -> int:
     return (3 * k) // 4 - (-1) ** k
 
 
-def generate_kbit(k: int) -> list[ClosedFormEntry]:
+def generate_kbit(k: int) -> list[RecordSetter]:
     """All ``k``-bit record-setters with indices and Stern values.
 
     Below 12 bits the entries come from the frozen table (values via
@@ -247,24 +238,19 @@ def generate_kbit(k: int) -> list[ClosedFormEntry]:
     if k < 1:
         raise ValueError("bit length must be >= 1")
     if k <= SMALL_BITLENGTH_MAX:
-        entries = [
-            ClosedFormEntry(index=int(bits, 2), bits=bits, stern_value=stern_a(int(bits, 2)))
-            for bits in SMALL_BITLENGTH_RECORDS[k]
-        ]
+        indices = [int(bits, 2) for bits in SMALL_BITLENGTH_RECORDS[k]]
+        entries = [RecordSetter(index, stern_a(index)) for index in indices]
     else:
         n = _half_length(k)
         F, L = fib_lucas_table(2 * n + 2)
-        entries = []
-        for descriptor in family_descriptors(k):
-            bits = render_bits(descriptor, n)
-            entries.append(
-                ClosedFormEntry(
-                    index=int(bits, 2),
-                    bits=bits,
-                    stern_value=_stern_value(descriptor, n, F, L),
-                    descriptor=descriptor,
-                )
+        entries = [
+            RecordSetter(
+                int(render_bits(descriptor, n), 2),
+                _stern_value(descriptor, n, F, L),
+                descriptor=descriptor,
             )
+            for descriptor in family_descriptors(k)
+        ]
     entries.sort(key=lambda e: e.index)
     if any(a.index >= b.index for a, b in zip(entries, entries[1:])):
         raise RuntimeError(f"family instantiation for k={k} produced duplicate indices")
@@ -293,9 +279,9 @@ def cross_validate(k: int) -> tuple[bool, list[str]]:
                 f"k={k}: index mismatch {entry.index} (closed form) vs {record.index} (scan)"
             )
             continue
-        if entry.stern_value != record.value:
+        if entry.value != record.value:
             discrepancies.append(
-                f"k={k}, index {entry.index}: value {entry.stern_value} (closed form) "
+                f"k={k}, index {entry.index}: value {entry.value} (closed form) "
                 f"vs {record.value} (scan)"
             )
         if entry.bits != record.bits:

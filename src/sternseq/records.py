@@ -21,7 +21,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Literal
+from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
@@ -29,6 +29,9 @@ from .budget import check_bits_budget
 from .core import stern_range
 from .fibonacci import fib
 from .strings import Comparator, dominates, g_value, mu_of
+
+if TYPE_CHECKING:
+    from .closedform import FamilyDescriptor
 
 __all__ = [
     "AuditReport",
@@ -57,19 +60,29 @@ INTERIOR_1000_EXCEPTION = "1001000"
 _BLOCKS_RE = re.compile(r"(?:10{1,3})+")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecordSetter:
-    """One running-maximum position of the sequence."""
+    """One running-maximum position of the sequence.
+
+    ``descriptor`` is the closed-form family, with its parameter, whose
+    pattern is the binary form of the record's "A" index; it is ``None``
+    where no family applies (below 12 bits) or none was looked up (a
+    bare scan).
+    """
 
     index: int
     value: int
-    bit_length: int
-    convention: Convention
+    convention: Convention = "A"
+    descriptor: FamilyDescriptor | None = None
+
+    @property
+    def bit_length(self) -> int:
+        return self.index.bit_length()
 
     @property
     def bits(self) -> str:
-        """Binary form of the index (empty string for index 0)."""
-        return format(self.index, "b") if self.index else ""
+        """Binary form of the index ("0" for index 0)."""
+        return format(self.index, "b")
 
 
 def _validate_convention(convention: str) -> Convention:
@@ -92,15 +105,7 @@ def _records_scan_cached(k_max: int, convention: Convention) -> tuple[RecordSett
         before[0] = prev
         np.maximum(cummax[:-1], prev, out=before[1:])
         for pos in np.flatnonzero(vals > before):
-            index = lo + int(pos)
-            records.append(
-                RecordSetter(
-                    index=index,
-                    value=int(vals[pos]),
-                    bit_length=index.bit_length(),
-                    convention=convention,
-                )
-            )
+            records.append(RecordSetter(lo + int(pos), int(vals[pos]), convention))
         prev = max(prev, cummax[-1])
     return tuple(records)
 
@@ -143,22 +148,13 @@ class AuditReport:
         return not self.violations
 
 
-def _find_all(haystack: str, needle: str) -> list[int]:
-    positions = []
-    start = haystack.find(needle)
-    while start != -1:
-        positions.append(start)
-        start = haystack.find(needle, start + 1)
-    return positions
-
-
 def _substring_violations(bits: str) -> list[str]:
     problems = []
     if "11" in bits:
         problems.append("contains-11")
     if "10000" in bits:
         problems.append("contains-10000")
-    if any(pos > 0 for pos in _find_all(bits, "1000")):
+    if "1000" in bits[1:]:
         problems.append("interior-1000")
     if not _BLOCKS_RE.fullmatch(bits):
         problems.append("not-10/100/1000-blocks")
@@ -180,9 +176,9 @@ def audit_substring_properties(k_max: int) -> AuditReport:
     informational: list[tuple[int, str]] = []
     checked = 0
     for record in records_scan(k_max, "S"):
-        bits = record.bits
-        if not bits:
+        if record.index == 0:
             continue
+        bits = record.bits
         problems = _substring_violations(bits)
         if record.bit_length >= HARD_AUDIT_MIN_BITS:
             checked += 1
@@ -284,17 +280,8 @@ def _block_string(total_blocks: int, hundred_positions: tuple[int, ...]) -> str:
     return "".join("100" if i in marks else "10" for i in range(total_blocks))
 
 
-def _two_hundreds_strings(length: int):
-    """All 10/100-block strings of even ``length`` with exactly two 100s."""
-    tens, rem = divmod(length - 6, 2)
-    if rem or tens < 0:
-        return
-    blocks = tens + 2
-    for positions in itertools.combinations(range(blocks), 2):
-        yield _block_string(blocks, positions)
-
-
 def _k_hundreds_strings(length: int, hundreds: int):
+    """All 10/100-block strings of ``length`` digits with exactly ``hundreds`` 100s."""
     tens, rem = divmod(length - 3 * hundreds, 2)
     if rem or tens < 0:
         return
@@ -339,7 +326,7 @@ def verify_extremal_lemmas(n_max: int) -> AuditReport:
         count = 0
         best_val = -1
         best_strs: list[str] = []
-        for x in _two_hundreds_strings(length):
+        for x in _k_hundreds_strings(length, 2):
             count += 1
             val = g_value(x)
             if val > best_val:

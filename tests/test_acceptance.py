@@ -88,7 +88,7 @@ def test_c04_classification_equivalence_to_24_bits(capsys):
         scanned = records_in_bitlength(k, "A")
         ok = ok and len(closed) == len(scanned) == (3 * k) // 4 - (-1) ** k
         ok = ok and all(
-            c.index == s.index and c.stern_value == s.value and c.bits == s.bits
+            c.index == s.index and c.value == s.value and c.bits == s.bits
             for c, s in zip(closed, scanned)
         )
     peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

@@ -5,9 +5,9 @@ import sys
 
 import pytest
 
-from sternseq import ClosedFormEntry, FamilyDescriptor, cli, closed_form_index, closed_form_stern_value
+from sternseq import FamilyDescriptor, RecordSetter, cli, closed_form_index, closed_form_stern_value
 from sternseq.budget import MAX_BITS_ENV_VAR
-from sternseq.cli import EXIT_BUDGET, EXIT_OK, FORMATS, RecordRow, main, parse_bfile
+from sternseq.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, FORMATS, main, parse_bfile
 from sternseq.tables import FIRST_RECORDS, SMALL_BITLENGTH_RECORDS
 
 
@@ -57,7 +57,7 @@ class TestValue:
         entry = generate_kbit(64)[-1]
         code, out, _ = run(capsys, "value", str(entry.index), "--method", "matrix")
         assert code == EXIT_OK
-        assert out == [str(entry.stern_value)] == [str(fib(65))]
+        assert out == [str(entry.value)] == [str(fib(65))]
 
 
 class TestRecords:
@@ -88,12 +88,20 @@ class TestRecords:
         assert [line.split()[1] for line in out] == list(SMALL_BITLENGTH_RECORDS[11])
 
     @pytest.mark.parametrize("fmt", ["plain", "csv", "jsonlines", "bfile"])
-    @pytest.mark.parametrize("k", [5, 12, 13, 16])
-    def test_scan_and_closed_form_agree_bytewise(self, capsys, fmt, k):
+    @pytest.mark.parametrize(
+        "k, convention",
+        [
+            pytest.param(k, convention, id=str(k) if convention == "A" else f"{k}-S")
+            for convention in ("A", "S")
+            for k in (1, 5, 11, 12, 13, 16)
+        ],
+    )
+    def test_scan_and_closed_form_agree_bytewise(self, capsys, fmt, k, convention):
         outputs = []
         for source in ("scan", "closed-form"):
             code, out, _ = run(
-                capsys, "records", "--bits", str(k), "--source", source, "--format", fmt
+                capsys, "records", "--bits", str(k), "--source", source, "--format", fmt,
+                "--convention", convention,
             )
             assert code == EXIT_OK
             outputs.append(out)
@@ -157,6 +165,12 @@ class TestRecords:
         assert code == EXIT_BUDGET
         assert "ceiling" in err
 
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "records.txt"
+        code, out, err = run(capsys, "records", "--max-bits", "4", "--output", str(target))
+        assert (code, out) == (EXIT_USAGE, [])
+        assert err.splitlines() == [f"error: cannot write {target}: No such file or directory"]
+
     def test_requires_a_range_option(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["records"])
@@ -182,6 +196,12 @@ class TestPlot:
         code, out, _ = run(capsys, "plot", "--max", str((1 << 12) - 1))
         assert code == EXIT_OK
         assert len(out) == 1 << 12
+
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "plot.csv"
+        code, out, err = run(capsys, "plot", "--max", "15", "--output", str(target))
+        assert (code, out) == (EXIT_USAGE, [])
+        assert err.splitlines() == [f"error: cannot write {target}: No such file or directory"]
 
     def test_running_maximum_to_1200(self, capsys):
         # The last record below 1200 sits at 1195 = 10010101011_2 with
@@ -265,6 +285,18 @@ class TestVerify:
         assert any("FAIL" in line for line in out)
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [("abc", "must be an integer, got 'abc'"), ("0", "must be >= 1, got 0")],
+)
+@pytest.mark.parametrize("argv", [["--help"], ["records", "--max-bits", "4"]])
+def test_malformed_ceiling_is_usage_error(capsys, monkeypatch, raw, message, argv):
+    monkeypatch.setenv(MAX_BITS_ENV_VAR, raw)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, [])
+    assert err.splitlines() == [f"error: {MAX_BITS_ENV_VAR} {message}"]
+
+
 class TestParseBfile:
     def test_skips_comments_and_blanks(self):
         text = "# header\n\n0 0\n1 1\n  3 2  \n"
@@ -282,18 +314,17 @@ class TestBeyondIntStrLimit:
         descriptor = FamilyDescriptor("even", "E3")
         index = closed_form_index(descriptor, 7150)
         value = closed_form_stern_value(descriptor, 7150)
-        return ClosedFormEntry(index, format(index, "b"), value, descriptor)
+        return RecordSetter(index, value, descriptor=descriptor)
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_format_records_restores_limit(self, e3_entry, fmt):
-        row = RecordRow(e3_entry.index, e3_entry.stern_value, 14300, "E3")
         limit = sys.get_int_max_str_digits()
         with cli._unlimited_int_str():
-            text = "\n".join(cli.format_records([row], fmt))
+            text = "\n".join(cli.format_records([e3_entry], fmt))
             digits = str(e3_entry.index)
         assert sys.get_int_max_str_digits() == limit
         assert len(digits) == 4305 and digits in text
-        assert str(e3_entry.stern_value) in text
+        assert str(e3_entry.value) in text
         # Outside input is still parsed under the default guard.
         with pytest.raises(ValueError):
             parse_bfile(f"{digits} 1")

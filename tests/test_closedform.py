@@ -153,7 +153,7 @@ class TestClosedForms:
 class TestGenerateKbit:
     def test_small_k_from_table(self):
         entries = generate_kbit(5)
-        assert [(e.bits, e.index, e.stern_value) for e in entries] == [
+        assert [(e.bits, e.index, e.value) for e in entries] == [
             ("10011", 19, 7),
             ("10101", 21, 8),
         ]
@@ -189,8 +189,8 @@ class TestGenerateKbit:
         # single-descriptor path with a table of its own.
         n = _half_length(k)
         for entry in generate_kbit(k):
-            assert entry.stern_value == stern_a(entry.index)
-            assert closed_form_stern_value(entry.descriptor, n) == entry.stern_value
+            assert entry.value == stern_a(entry.index)
+            assert closed_form_stern_value(entry.descriptor, n) == entry.value
 
     def test_validation(self):
         with pytest.raises(ValueError):
