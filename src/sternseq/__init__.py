@@ -19,7 +19,6 @@ from .closedform import (
     render_bits,
 )
 from .core import (
-    HyperbinaryEnumeration,
     SternRow,
     hyperbinary_count_dp,
     hyperbinary_enumerate,
@@ -60,7 +59,6 @@ __all__ = [
     "BudgetExceededError",
     "Comparator",
     "FamilyDescriptor",
-    "HyperbinaryEnumeration",
     "Mat2",
     "RecordSetter",
     "SternRow",

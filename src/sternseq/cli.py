@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
@@ -30,24 +29,12 @@ from .budget import (
     check_bits_budget,
     memory_ceiling_bits,
 )
-from .closedform import CLOSED_FORM_MIN_BITS, cross_validate, generate_kbit
+from .closedform import CLOSED_FORM_MIN_BITS, generate_kbit
 from .core import hyperbinary_count_dp, stern_a, stern_range, stern_s
-from .fibonacci import fib
-from .records import (
-    RecordSetter,
-    audit_substring_properties,
-    records_in_bitlength,
-    records_scan,
-    verify_dominance_witnesses,
-    verify_extremal_lemmas,
-)
-from .strings import g_split, g_value, mu_of
-from .tables import (
-    FIRST_RECORDS,
-    INITIAL_VALUES,
-    SMALL_BITLENGTH_MAX,
-    SMALL_BITLENGTH_RECORDS,
-)
+from .records import RecordSetter, records_in_bitlength, records_scan
+from .strings import g_value
+from .tables import FIRST_RECORDS, SMALL_BITLENGTH_MAX
+from .verify import SUITES
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -55,10 +42,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 FORMATS = ("plain", "csv", "jsonlines", "bfile")
-SUITES = ("tables", "identities", "substrings", "extremal", "crossval")
-
-IDENTITY_SAMPLES = 10_000
-IDENTITY_SEED = 20220926
 
 
 class UsageError(Exception):
@@ -223,90 +206,6 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
-# ----------------------------- verify suites -----------------------------
-
-
-def _suite_tables(lo: int, hi: int):
-    failures = []
-    checked = 0
-    for n, expected in enumerate(INITIAL_VALUES):
-        checked += 1
-        if stern_a(n) != expected:
-            failures.append(f"a({n}) = {stern_a(n)}, reference says {expected}")
-    scanned = [(r.index, r.value) for r in records_scan(8, "A")[: len(FIRST_RECORDS)]]
-    checked += len(FIRST_RECORDS)
-    if scanned != list(FIRST_RECORDS):
-        failures.append("first record-setters do not match the reference list")
-    for k in range(max(lo, 1), min(hi, SMALL_BITLENGTH_MAX) + 1):
-        found = [r.bits for r in records_in_bitlength(k, "A")]
-        checked += len(found)
-        if tuple(found) != SMALL_BITLENGTH_RECORDS[k]:
-            failures.append(f"{k}-bit record-setters do not match the reference list")
-    return checked, failures
-
-
-def _random_binary(rng: random.Random, max_len: int) -> str:
-    length = rng.randint(0, max_len)
-    return "".join(rng.choice("01") for _ in range(length))
-
-
-def _suite_identities():
-    failures = []
-    rng = random.Random(IDENTITY_SEED)
-    checked = 0
-    for _ in range(IDENTITY_SAMPLES):
-        x = _random_binary(rng, 12)
-        y = _random_binary(rng, 24 - len(x))
-        checked += 1
-        if mu_of(x + y) != mu_of(x) * mu_of(y):
-            failures.append(f"matrix homomorphism fails for {x!r} + {y!r}")
-        if g_split(x, y) != g_value(x + y):
-            failures.append(f"split identity fails for {x!r} + {y!r}")
-        z = _random_binary(rng, 20)
-        if g_value(z) != stern_s(int(z, 2) if z else 0):
-            failures.append(f"g_value({z!r}) disagrees with the shifted sequence")
-    for i in range(1, 41):
-        checked += 1
-        block = "10" * i
-        ok = (
-            g_value(block) == fib(2 * i + 1)
-            and g_value(block + "0") == fib(2 * i + 2)
-            and g_value("1" + block) == fib(2 * i + 2)
-            and g_value("1" + block + "0") == fib(2 * i + 3)
-            and mu_of(block).rows
-            == ((fib(2 * i + 1), fib(2 * i)), (fib(2 * i), fib(2 * i - 1)))
-        )
-        if not ok:
-            failures.append(f"Fibonacci value identities fail for (10)^{i}")
-    witness_report = verify_dominance_witnesses()
-    checked += witness_report.checked_count
-    failures.extend(f"witness {name} (index {idx})" for idx, name in witness_report.violations)
-    return checked, failures
-
-
-def _suite_substrings(hi: int):
-    report = audit_substring_properties(hi)
-    failures = [f"index {idx}: {prop}" for idx, prop in report.violations]
-    notes = [f"index {idx}: {note}" for idx, note in report.informational]
-    return report.checked_count, failures, notes
-
-
-def _suite_extremal():
-    report = verify_extremal_lemmas(8)
-    return report.checked_count, [f"{prop} (at {idx})" for idx, prop in report.violations]
-
-
-def _suite_crossval(lo: int, hi: int):
-    failures = []
-    checked = 0
-    for k in range(max(lo, 1), hi + 1):
-        ok, discrepancies = cross_validate(k)
-        checked += 1
-        if not ok:
-            failures.extend(discrepancies)
-    return checked, failures
-
-
 def _parse_k_range(text: str) -> tuple[int, int]:
     lo_str, sep, hi_str = text.partition("..")
     if not sep:
@@ -328,26 +227,15 @@ def cmd_verify(args) -> int:
         raise UsageError(f"unknown suites {unknown}; pick from {','.join(SUITES)}")
     any_failed = False
     for suite in suites:
-        notes: list[str] = []
-        if suite == "tables":
-            checked, failures = _suite_tables(lo, hi)
-        elif suite == "identities":
-            checked, failures = _suite_identities()
-        elif suite == "substrings":
-            checked, failures, notes = _suite_substrings(hi)
-        elif suite == "extremal":
-            checked, failures = _suite_extremal()
-        else:
-            checked, failures = _suite_crossval(lo, hi)
-        status = "PASS" if not failures else "FAIL"
-        any_failed = any_failed or bool(failures)
-        print(f"{suite:<11} {status}  checked={checked}")
-        for note in notes:
-            print(f"  note: {note}")
-        for failure in failures[:20]:
-            print(f"  FAIL: {failure}")
-        if len(failures) > 20:
-            print(f"  ... and {len(failures) - 20} more")
+        report = SUITES[suite](lo, hi)
+        any_failed = any_failed or not report.ok
+        print(f"{suite:<11} {'PASS' if report.ok else 'FAIL'}  checked={report.checked_count}")
+        for index, note in report.informational:
+            print(f"  note: index {index}: {note}")
+        for index, prop in report.violations[:20]:
+            print(f"  FAIL: {prop} (at {index})")
+        if len(report.violations) > 20:
+            print(f"  ... and {len(report.violations) - 20} more")
     return EXIT_VERIFY_FAILED if any_failed else EXIT_OK
 
 

@@ -23,8 +23,10 @@ as frozen data (:mod:`sternseq.tables`).
 
 :func:`generate_kbit` returns the same :class:`~sternseq.records.RecordSetter`
 records as the scan, each carrying its :class:`FamilyDescriptor`.
-Everything here is cross-checked against the brute-force scan by
-:func:`cross_validate`.
+:func:`cross_validate` checks a whole bit-length range against one
+brute-force scan and returns an :class:`~sternseq.records.AuditReport`;
+``sternseq verify`` runs it as its ``crossval`` suite
+(:data:`sternseq.verify.SUITES`).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 from .core import stern_a
 from .fibonacci import fib_lucas_table
-from .records import RecordSetter, records_in_bitlength
+from .records import AuditReport, RecordSetter, records_scan
 from .tables import SMALL_BITLENGTH_MAX, SMALL_BITLENGTH_RECORDS
 
 __all__ = [
@@ -259,41 +261,41 @@ def generate_kbit(k: int) -> list[RecordSetter]:
     return entries
 
 
-def cross_validate(k: int) -> tuple[bool, list[str]]:
-    """Compare the closed forms for ``k`` bits against the brute-force scan.
+def cross_validate(lo: int, hi: int) -> AuditReport:
+    """Compare the closed forms for ``lo..hi`` bits against one brute-force scan.
 
-    Checks element-wise equality of indices, binary forms, and Stern
-    values, and (for ``k >= 12``) that each closed-form index formula
-    reproduces its rendered bits.  Returns ``(ok, discrepancies)``.
+    The records of a single scan below ``2**hi`` are grouped by bit
+    length, and each group must equal :func:`generate_kbit` element-wise
+    in index and Stern value.  From 12 bits on, each closed-form index
+    formula must also reproduce its rendered bits.  Violations are keyed
+    by the scanned index, the rendered index for a formula mismatch, or
+    the first index of the bit length for a count mismatch;
+    ``checked_count`` is the number of bit lengths.
     """
-    expected = generate_kbit(k)
-    scanned = records_in_bitlength(k, "A")
-    discrepancies: list[str] = []
-    if len(expected) != len(scanned):
-        discrepancies.append(
-            f"k={k}: closed form yields {len(expected)} entries, scan found {len(scanned)}"
-        )
-    for entry, record in zip(expected, scanned):
-        if entry.index != record.index:
-            discrepancies.append(
-                f"k={k}: index mismatch {entry.index} (closed form) vs {record.index} (scan)"
-            )
-            continue
-        if entry.value != record.value:
-            discrepancies.append(
-                f"k={k}, index {entry.index}: value {entry.value} (closed form) "
-                f"vs {record.value} (scan)"
-            )
-        if entry.bits != record.bits:
-            discrepancies.append(f"k={k}, index {entry.index}: binary form mismatch")
-    if k >= CLOSED_FORM_MIN_BITS:
-        n = _half_length(k)
-        for entry in expected:
-            formula_index = closed_form_index(entry.descriptor, n)
-            if formula_index != entry.index:
-                discrepancies.append(
-                    f"k={k}, {entry.descriptor.family_id}"
-                    f"(parameter={entry.descriptor.parameter}): index formula gives "
-                    f"{formula_index}, rendered bits give {entry.index}"
-                )
-    return (not discrepancies, discrepancies)
+    if lo < 1 or hi < lo:
+        raise ValueError(f"bit-length range must satisfy 1 <= lo <= hi, got {lo}..{hi}")
+    scanned: dict[int, list[RecordSetter]] = {k: [] for k in range(lo, hi + 1)}
+    for record in records_scan(hi, "A"):
+        if record.bit_length >= lo:
+            scanned[record.bit_length].append(record)
+    violations: list[tuple[int, str]] = []
+    for k, found in scanned.items():
+        expected = generate_kbit(k)
+        if len(expected) != len(found):
+            count = f"{len(expected)} by closed form, {len(found)} by scan"
+            violations.append((1 << (k - 1), f"{k}-bit record-setters: {count}"))
+        for entry, record in zip(expected, found):
+            if entry.index != record.index:
+                violations.append((record.index, f"closed form gives index {entry.index}"))
+            elif entry.value != record.value:
+                violations.append((record.index, f"closed form gives value {entry.value}"))
+        if k >= CLOSED_FORM_MIN_BITS:
+            n = _half_length(k)
+            for entry in expected:
+                d = entry.descriptor
+                formula_index = closed_form_index(d, n)
+                if formula_index != entry.index:
+                    violations.append(
+                        (entry.index, f"{d.family_id}({d.parameter}) formula gives {formula_index}")
+                    )
+    return AuditReport(violations, hi - lo + 1)

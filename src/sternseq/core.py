@@ -22,7 +22,6 @@ from .budget import check_bits_budget
 from .fibonacci import fib
 
 __all__ = [
-    "HyperbinaryEnumeration",
     "SternRow",
     "hyperbinary_count_dp",
     "hyperbinary_enumerate",
@@ -76,14 +75,6 @@ def hyperbinary_count_dp(n: int) -> int:
     return exact
 
 
-class HyperbinaryEnumeration(list):
-    """List of digit strings plus a flag recording cap truncation."""
-
-    def __init__(self, items: list[str], truncated: bool = False):
-        super().__init__(items)
-        self.truncated = truncated
-
-
 def _iter_hyperbinary(n: int):
     """Yield the hyperbinary representations of ``n`` as digit strings.
 
@@ -116,26 +107,17 @@ def _iter_hyperbinary(n: int):
     yield from walk(0, 0, False)
 
 
-def hyperbinary_enumerate(n: int, cap: int | None = None) -> HyperbinaryEnumeration:
+def hyperbinary_enumerate(n: int) -> list[str]:
     """All distinct hyperbinary representations of ``n``.
 
     Starts from the canonical binary string and applies the breaking
     rewrite ``10 -> 02`` at each position at most once; intended for
-    oracle-scale ``n`` (the count grows like a Stern value).  With
-    ``cap`` the enumeration stops after ``cap`` strings and the result
-    is flagged as truncated.  ``n = 0`` yields the single empty
-    representation.
+    oracle-scale ``n`` (the count grows like a Stern value).  ``n = 0``
+    yields the single empty representation.
     """
     if n < 0:
         raise ValueError("index must be non-negative")
-    items: list[str] = []
-    truncated = False
-    for repr_string in _iter_hyperbinary(n):
-        if cap is not None and len(items) >= cap:
-            truncated = True
-            break
-        items.append(repr_string)
-    return HyperbinaryEnumeration(items, truncated)
+    return list(_iter_hyperbinary(n))
 
 
 # Row values for k-bit indices are bounded by F(k+1) (Lucas), so 32-bit
@@ -199,31 +181,20 @@ class SternRow:
         return len(self.values)
 
 
-def stern_row(k: int, chunk_size: int | None = None) -> SternRow:
+def stern_row(k: int) -> SternRow:
     """Materialize the row of all ``k``-bit indices.
 
     Built from the previous row by the diatomic interleaving (even
-    indices copy, odd indices sum adjacent values).  With ``chunk_size``
-    the row is assembled from independently computed chunks; the result
-    is identical either way.  Raises ``BudgetExceededError`` when the
-    row does not fit under the configured memory ceiling.
+    indices copy, odd indices sum adjacent values).  Raises
+    ``BudgetExceededError`` when the row does not fit under the
+    configured memory ceiling.
     """
     if k < 1:
         raise ValueError("bit length must be >= 1")
     check_bits_budget(k, f"row of {k}-bit indices")
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError("chunk size must be >= 1")
     dtype, width = _cell_dtype(k)
     if width is not None:
         # Checked promotion: the Lucas bound F(k+1) must fit the cells.
         assert fib(k + 1) <= int(np.iinfo(dtype).max)
-    lo, hi = 1 << (k - 1), 1 << k
-    if chunk_size is None:
-        values = stern_range(lo, hi, dtype)
-    else:
-        parts = [
-            stern_range(start, min(start + chunk_size, hi), dtype)
-            for start in range(lo, hi, chunk_size)
-        ]
-        values = np.concatenate(parts)
+    values = stern_range(1 << (k - 1), 1 << k, dtype)
     return SternRow(bit_length=k, values=values, cell_width=width)

@@ -138,7 +138,6 @@ class AuditReport:
     counted as failures.
     """
 
-    k_range: tuple[int, int]
     violations: list[tuple[int, str]]
     checked_count: int
     informational: list[tuple[int, str]] = field(default_factory=list)
@@ -189,12 +188,7 @@ def audit_substring_properties(k_max: int) -> AuditReport:
                     informational.append((record.index, "allowed-exception-1001000"))
                 else:
                     informational.append((record.index, p))
-    return AuditReport(
-        k_range=(HARD_AUDIT_MIN_BITS, k_max),
-        violations=violations,
-        checked_count=checked,
-        informational=informational,
-    )
+    return AuditReport(violations, checked, informational)
 
 
 @dataclass(frozen=True)
@@ -268,11 +262,7 @@ def verify_dominance_witnesses() -> AuditReport:
             violations.append((int(w.excluded, 2), f"no-dominance-{label}"))
         if int(w.smaller, 2) >= int(w.excluded, 2):
             violations.append((int(w.excluded, 2), f"witness-not-smaller-{label}"))
-    return AuditReport(
-        k_range=(3, 12),
-        violations=violations,
-        checked_count=len(DOMINANCE_WITNESSES),
-    )
+    return AuditReport(violations, len(DOMINANCE_WITNESSES))
 
 
 def _block_string(total_blocks: int, hundred_positions: tuple[int, ...]) -> str:
@@ -377,8 +367,4 @@ def verify_extremal_lemmas(n_max: int) -> AuditReport:
         if any(a >= b for a, b in zip(increasing, increasing[1:])):
             violations.append((n, f"even-fib-products-not-increasing-n-{n}"))
 
-    return AuditReport(
-        k_range=(6, 4 * n_max + 2),
-        violations=violations,
-        checked_count=checked,
-    )
+    return AuditReport(violations, checked)

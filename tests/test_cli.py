@@ -242,6 +242,18 @@ class TestTable:
 
 
 class TestVerify:
+    def test_all_suites_output(self, capsys):
+        code, out, _ = run(capsys, "verify", "--k-range", "1..14")
+        assert code == EXIT_OK
+        assert out == [
+            "tables      PASS  checked=74",
+            "identities  PASS  checked=10056",
+            "substrings  PASS  checked=27",
+            "  note: index 72: allowed-exception-1001000",
+            "extremal    PASS  checked=846",
+            "crossval    PASS  checked=14",
+        ]
+
     def test_tables_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--k-range", "1..11", "--suites", "tables")
         assert code == EXIT_OK
@@ -279,10 +291,25 @@ class TestVerify:
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         # Corrupt the reference data to confirm failures surface as exit 1.
-        monkeypatch.setattr("sternseq.cli.INITIAL_VALUES", (9,) * 16)
+        monkeypatch.setattr("sternseq.verify.INITIAL_VALUES", (9,) * 16)
         code, out, _ = run(capsys, "verify", "--k-range", "1..4", "--suites", "tables")
         assert code == 1
         assert any("FAIL" in line for line in out)
+
+    def test_crossval_failure_lines(self, capsys, monkeypatch):
+        # A closed form that loses its smallest 13-bit entry surfaces as exit 1.
+        from sternseq import closedform
+
+        generate = closedform.generate_kbit
+        first, second = generate(13)[:2]
+        monkeypatch.setattr("sternseq.closedform.generate_kbit", lambda k: generate(k)[k == 13 :])
+        code, out, _ = run(capsys, "verify", "--k-range", "12..13", "--suites", "crossval")
+        assert code == 1
+        assert out[:3] == [
+            "crossval    FAIL  checked=2",
+            "  FAIL: 13-bit record-setters: 9 by closed form, 10 by scan (at 4096)",
+            f"  FAIL: closed form gives index {second.index} (at {first.index})",
+        ]
 
 
 @pytest.mark.parametrize(

@@ -207,14 +207,23 @@ class TestGenerateKbit:
 class TestCrossValidation:
     @pytest.mark.parametrize("k", range(1, 25))
     def test_against_brute_force(self, k):
-        ok, discrepancies = cross_validate(k)
-        assert ok, discrepancies
-        assert discrepancies == []
+        report = cross_validate(k, k)
+        assert report.ok, report.violations
+        assert report.violations == []
 
     def test_beyond_default_ceiling(self, monkeypatch):
         from sternseq.budget import MAX_BITS_ENV_VAR
 
         monkeypatch.setenv(MAX_BITS_ENV_VAR, "26")
         for k in (25, 26):
-            ok, discrepancies = cross_validate(k)
-            assert ok, discrepancies
+            report = cross_validate(k, k)
+            assert report.ok, report.violations
+
+    def test_one_scan_covers_the_range(self):
+        report = cross_validate(1, 16)
+        assert (report.violations, report.checked_count) == ([], 16)
+
+    @pytest.mark.parametrize("lo, hi", [(0, 5), (-1, 3), (6, 5)])
+    def test_invalid_range(self, lo, hi):
+        with pytest.raises(ValueError):
+            cross_validate(lo, hi)
