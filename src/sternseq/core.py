@@ -15,11 +15,13 @@ scans.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .budget import check_bits_budget
 from .fibonacci import fib
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SternRow",
@@ -127,6 +129,8 @@ _WIDTH_64_MAX_BITS = 91
 
 
 def _cell_dtype(bits: int) -> tuple[np.dtype, int | None]:
+    import numpy as np
+
     if bits <= _WIDTH_32_MAX_BITS:
         return np.dtype(np.uint32), 32
     if bits <= _WIDTH_64_MAX_BITS:
@@ -142,6 +146,8 @@ def stern_range(lo: int, hi: int, dtype: np.dtype | type | None = None) -> np.nd
     adjacent parents), so a chunk of any row costs O(chunk + log hi)
     without materializing earlier rows.
     """
+    import numpy as np
+
     if lo < 0 or hi < lo:
         raise ValueError(f"invalid index range [{lo}, {hi})")
     if dtype is None:
@@ -189,6 +195,8 @@ def stern_row(k: int) -> SternRow:
     ``BudgetExceededError`` when the row does not fit under the
     configured memory ceiling.
     """
+    import numpy as np
+
     if k < 1:
         raise ValueError("bit length must be >= 1")
     check_bits_budget(k, f"row of {k}-bit indices")

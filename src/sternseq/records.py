@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Literal
 
-import numpy as np
-
 from .budget import check_bits_budget
 from .core import stern_range
 from .fibonacci import fib
@@ -93,6 +91,8 @@ def _validate_convention(convention: str) -> Convention:
 
 @lru_cache(maxsize=8)
 def _records_scan_cached(k_max: int, convention: Convention) -> tuple[RecordSetter, ...]:
+    import numpy as np
+
     shift = 1 if convention == "S" else 0
     records: list[RecordSetter] = []
     prev = np.int64(-1)

@@ -1,11 +1,23 @@
 """Tests for the command-line interface and its output formats."""
 
+import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sternseq import FamilyDescriptor, RecordSetter, cli, closed_form_index, closed_form_stern_value
+from sternseq import (
+    FamilyDescriptor,
+    RecordSetter,
+    cli,
+    closed_form_index,
+    closed_form_stern_value,
+    stern_a,
+)
 from sternseq.budget import MAX_BITS_ENV_VAR
 from sternseq.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, FORMATS, main, parse_bfile
 from sternseq.tables import FIRST_RECORDS, SMALL_BITLENGTH_RECORDS
@@ -171,6 +183,27 @@ class TestRecords:
         assert (code, out) == (EXIT_USAGE, [])
         assert err.splitlines() == [f"error: cannot write {target}: No such file or directory"]
 
+    @pytest.mark.parametrize("convention", ["A", "S"])
+    def test_jsonlines_equal_json_dumps(self, convention):
+        records = (
+            cli._scanned(4, convention, False)  # index 0, whose bits are "0"
+            + cli._scanned(13, convention, True)
+            + cli._closed_form(14, convention, False)
+        )
+        assert {r.descriptor is None for r in records} == {True, False}
+        lines = list(cli.format_records(records, "jsonlines"))
+        assert len(lines) == len(records)
+        for record, line in zip(records, lines):
+            doc = {
+                "index": str(record.index),
+                "bits": record.bits,
+                "value": str(record.value),
+                "k": record.bit_length,
+            }
+            if record.descriptor is not None:
+                doc["family"] = record.descriptor.family_id
+            assert line == json.dumps(doc)
+
     def test_requires_a_range_option(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["records"])
@@ -212,6 +245,65 @@ class TestPlot:
         assert out[-1].split(",")[2] == "123"
         assert out[1195] == "1195,123,123"
         assert all(int(line.split(",")[2]) < 123 for line in out[:1195])
+
+
+    @pytest.mark.parametrize("fmt, sep", [("csv", ","), ("plain", " ")])
+    def test_windows_match_per_row_reference(self, capsys, monkeypatch, fmt, sep):
+        # 1201 rows in windows of 7: the maximum is carried across 171
+        # window boundaries, and the last window holds only 4 rows.
+        monkeypatch.setattr(cli, "_PLOT_CHUNK", 7)
+        assert main(["plot", "--max", "1200", "--format", fmt]) == EXIT_OK
+        expected, top = [], 0
+        for n in range(1201):
+            top = max(top, stern_a(n))
+            expected.append(f"{n}{sep}{stern_a(n)}{sep}{top}\n")
+        assert capsys.readouterr().out == "".join(expected)
+
+    def test_decimal_lines_match_fstrings(self):
+        numbers = [0, 9, 10, 99, 100, 2**63 - 1]
+        columns = [np.array(c, np.int64) for c in (numbers, numbers[::-1], [0] * len(numbers))]
+        rows = zip(*(column.tolist() for column in columns))
+        assert cli._decimal_lines(columns, ";") == "".join(f"{a};{b};{c}\n" for a, b, c in rows)
+        assert cli._decimal_lines([np.zeros(1, np.int64)], ",") == "0\n"
+
+
+#: sha256 of outputs taken before plot streamed in windows and jsonlines
+#: stopped going through json.dumps; the output must stay byte-identical.
+PINNED_OUTPUT_SHA256 = {
+    "plot --max 200000": "6940b269485e3af37bb2e107dfdd9fdde1dc99f9a36846dbf6e33d378caee6c6",
+    "plot --max 200000 --format plain": (
+        "b4ae0e3079ad44cf6ee47dbab265c20468349d430fbe4a8a244b456671aa39e0"
+    ),
+    "records --max-bits 40 --source closed-form --format jsonlines": (
+        "4436c4fb1681320b1a4a9a5a762940adddb9168a5a9560084f70465718b72af1"
+    ),
+    "records --max-bits 40 --source closed-form --format jsonlines --convention S": (
+        "9abd5a59823a317999b4967a3ace4142cf595da5ae43a2c7428a912e644fe032"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", PINNED_OUTPUT_SHA256)
+def test_output_is_byte_identical(capsys, command):
+    assert main(command.split()) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest()
+    assert digest == PINNED_OUTPUT_SHA256[command]
+
+
+def test_scalar_commands_do_not_import_numpy():
+    script = (
+        "import sys, sternseq.cli\n"
+        "assert 'numpy' not in sys.modules, 'imported by sternseq.cli'\n"
+        "sternseq.cli.main(['value', '11'])\n"
+        "sternseq.cli.main(['records', '--bits', '40', '--source', 'closed-form'])\n"
+        "assert 'numpy' not in sys.modules, 'imported by a scalar command'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=False
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0] == "5"
 
 
 class TestTable:

@@ -55,9 +55,30 @@ class TestSternValues:
 
 
 class TestSternRange:
-    @pytest.mark.parametrize("lo, hi", [(0, 1), (0, 100), (7, 99), (1000, 1001), (511, 1033)])
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (0, 1),
+            (0, 100),
+            (7, 99),
+            (1000, 1001),
+            (511, 1033),
+            (2**45 - 50, 2**45 + 50),
+            (2**91 - 50, 2**91 + 50),
+        ],
+    )
     def test_matches_scalar_values(self, lo, hi):
         assert stern_range(lo, hi).tolist() == [stern_a(n) for n in range(lo, hi)]
+
+    @given(st.sampled_from([45, 91]), st.integers(-300, 300), st.integers(0, 300))
+    @settings(max_examples=50, deadline=None)
+    def test_windows_near_cell_width_boundaries(self, bits, offset, length):
+        # The default cells widen from 32 to 64 bits past 2**45 and to
+        # Python ints past 2**91; windows on either side and across agree.
+        lo = 2**bits + offset
+        assert stern_range(lo, lo + length).tolist() == [
+            stern_a(n) for n in range(lo, lo + length)
+        ]
 
     def test_empty_and_invalid(self):
         assert len(stern_range(5, 5)) == 0
