@@ -8,16 +8,17 @@ Subcommands::
     plot     emit "n, a(n), running maximum" rows for external plotting
     table    reproduce the three frozen reference tables
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 memory
-budget exceeded (override the budget with ``STERNSEQ_MAX_BITS``).
+Exit codes: 0 success (also when the reader stops early, as ``head`` does),
+1 verification failure, 2 usage or write error, 3 memory budget exceeded
+(override the budget with ``STERNSEQ_MAX_BITS``).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager, nullcontext
-from dataclasses import replace
 
 from .budget import (
     DEFAULT_MAX_BITS,
@@ -26,9 +27,9 @@ from .budget import (
     check_bits_budget,
     memory_ceiling_bits,
 )
-from .closedform import CLOSED_FORM_MIN_BITS, generate_kbit
+from .closedform import CLOSED_FORM_MIN_BITS, generate_kbit, kbit_rows, render_bits
 from .core import hyperbinary_count_dp, stern_a, stern_range, stern_s
-from .records import RecordSetter, records_in_bitlength, records_scan
+from .records import records_in_bitlength, records_scan
 from .strings import g_value
 from .tables import FIRST_RECORDS, SMALL_BITLENGTH_MAX
 from .verify import SUITES
@@ -50,38 +51,22 @@ class UsageError(Exception):
 
 @contextmanager
 def _output(path: str | None):
-    """The file at ``path`` opened for writing, or standard output if no path is given."""
+    """The file at ``path``, or standard output, flushed; a write error becomes a UsageError."""
     try:
-        out = open(path, "w") if path else nullcontext(sys.stdout)
+        with open(path, "w") if path else nullcontext(sys.stdout) as stream:
+            yield stream
+            stream.flush()
+    except BrokenPipeError:
+        raise
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
-    with out as stream:
-        yield stream
+        raise UsageError(f"cannot write {path or 'standard output'}: {exc.strerror}") from exc
 
 
-@contextmanager
-def _unlimited_int_str():
-    """Lift Python's int-to-str digit limit for the duration of the block.
+def format_records(rows, fmt: str, convention: str = "A"):
+    """Render ``(index, value, k, descriptor)`` rows, one line each, in one of the output formats.
 
-    Record indices and values past about 14,285 bits have more than the
-    default 4,300 decimal digits.  The limit guards the parsing of
-    outside input, so it is lifted only while computed results are
-    formatted, and the previous limit is restored afterwards.
-    """
-    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before Python 3.10.7
-        yield
-        return
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(previous)
-
-
-def format_records(records: list[RecordSetter], fmt: str):
-    """Render records, one line each, in one of the output formats.
-
+    ``index`` and ``value`` are ``int`` or ``decimal.Decimal``; a row with
+    a descriptor takes its bits from its pattern, not from its index.
     ``bfile`` follows the OEIS flat-file convention ("index value" per
     line); ``jsonlines`` string-encodes the integers so arbitrarily
     large values survive tools that parse numbers as doubles.  The
@@ -94,19 +79,20 @@ def format_records(records: list[RecordSetter], fmt: str):
         raise ValueError(f"unknown format {fmt!r}")
     if fmt == "csv":
         yield "index,bits,value,k,family"
-    for r in records:
-        family = r.descriptor.family_id if r.descriptor else None
+    for index, value, k, descriptor in rows:
         if fmt == "bfile":
-            yield f"{r.index} {r.value}"
-        elif fmt == "plain":
-            yield f"{r.index} {r.bits} {r.value}" + (f" {family}" if family else "")
+            yield f"{index} {value}"
+            continue
+        family = descriptor.family_id if descriptor else None
+        bits = render_bits(descriptor, k // 2) if family else format(int(index), "b")
+        if family and convention == "S":
+            bits = bits[:-1] + "0"  # every pattern ends in 1
+        if fmt == "plain":
+            yield f"{index} {bits} {value}" + (f" {family}" if family else "")
         elif fmt == "csv":
-            yield f"{r.index},{r.bits},{r.value},{r.bit_length},{family or ''}"
+            yield f"{index},{bits},{value},{k},{family or ''}"
         else:
-            doc = (
-                f'"index": "{r.index}", "bits": "{r.bits}", '
-                f'"value": "{r.value}", "k": {r.bit_length}'
-            )
+            doc = f'"index": "{index}", "bits": "{bits}", "value": "{value}", "k": {k}'
             yield f'{{{doc}, "family": "{family}"}}' if family else f"{{{doc}}}"
 
 
@@ -122,8 +108,8 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def _scanned(k: int, convention: str, exact_bits: bool) -> list[RecordSetter]:
-    """The scanned records, each given the descriptor of its "A" index."""
+def _scanned(k: int, convention: str, exact_bits: bool):
+    """The scanned rows, each given the descriptor of its "A" index."""
     records = records_in_bitlength(k, convention) if exact_bits else records_scan(k, convention)
     shift = 1 if convention == "S" else 0
     descriptors = {
@@ -131,19 +117,22 @@ def _scanned(k: int, convention: str, exact_bits: bool) -> list[RecordSetter]:
         for kk in range(max(CLOSED_FORM_MIN_BITS, k if exact_bits else 1), k + 1)
         for entry in generate_kbit(kk)
     }
-    return [replace(r, descriptor=descriptors.get(r.index)) for r in records]
+    return ((r.index, r.value, r.bit_length, descriptors.get(r.index)) for r in records)
 
 
-def _closed_form(k: int, convention: str, exact_bits: bool) -> list[RecordSetter]:
-    """The closed-form records, shifted down by one index under convention "S"."""
-    records = []
-    for kk in (k,) if exact_bits else range(1, k + 1):
-        for r in generate_kbit(kk):
-            if convention == "S":
-                r = replace(r, index=r.index - 1, convention="S")
-            if not exact_bits or r.bit_length == kk:  # the 1-bit record maps to s-index 0
-                records.append(r)
-    return records
+def _closed_form(k: int, convention: str, exact_bits: bool):
+    """The closed-form rows in exact decimal, shifted down by one index under convention "S"."""
+    import decimal
+
+    traps = [decimal.Inexact, decimal.Rounded, decimal.InvalidOperation]
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=traps)
+    shift = 1 if convention == "S" else 0
+    with decimal.localcontext(exact):
+        for kk in (k,) if exact_bits else range(1, k + 1):
+            for index, value, descriptor in kbit_rows(kk, decimal.Decimal(1)):
+                index -= shift
+                if index or not exact_bits:  # the 1-bit record maps to s-index 0
+                    yield index, value, kk if index else 0, descriptor
 
 
 # ----------------------------- subcommands -----------------------------
@@ -170,9 +159,9 @@ def cmd_records(args) -> int:
     if k < 1:
         raise UsageError("bit length must be >= 1")
     source = _scanned if args.source == "scan" else _closed_form
-    records = source(k, args.convention, exact_bits)
-    with _output(args.output) as out, _unlimited_int_str():
-        out.writelines(f"{line}\n" for line in format_records(records, args.format))
+    lines = format_records(source(k, args.convention, exact_bits), args.format, args.convention)
+    with _output(args.output) as out:
+        out.writelines(f"{line}\n" for line in lines)
     return EXIT_OK
 
 
@@ -333,7 +322,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _output(None):  # so that what the subcommands print is flushed and checked here
+            return args.func(args)
+    except BrokenPipeError:
+        # What is still buffered goes to the null device, so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (UsageError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET if isinstance(exc, BudgetExceededError) else EXIT_USAGE

@@ -16,17 +16,17 @@ and five for odd bit lengths ``k = 2n+1``::
     O5:  (10)^n 1
 
 giving ``floor(3k/4) - (-1)^k`` record-setters per bit length.  Each
-family also has an explicit integer index (a geometric sum, exact
-division by 3) and an explicit Stern value built from Fibonacci and
-Lucas products; below 12 bits the record-setters are irregular and ship
-as frozen data (:mod:`sternseq.tables`).
+family also has an explicit index (a geometric sum over a powers-of-two
+table, exact division by 3) and an explicit Stern value built from
+Fibonacci and Lucas products; below 12 bits the record-setters are
+irregular and ship as frozen data (:mod:`sternseq.tables`).
 
-:func:`generate_kbit` returns the same :class:`~sternseq.records.RecordSetter`
-records as the scan, each carrying its :class:`FamilyDescriptor`.
-:func:`cross_validate` checks a whole bit-length range against one
-brute-force scan and returns an :class:`~sternseq.records.AuditReport`;
-``sternseq verify`` runs it as its ``crossval`` suite
-(:data:`sternseq.verify.SUITES`).
+:func:`kbit_rows` yields one bit length's rows as it makes them, in
+``int`` or in exact ``decimal.Decimal``, so ``sternseq records`` never
+converts an index from binary to decimal text.  :func:`generate_kbit`
+lists the int rows as :class:`~sternseq.records.RecordSetter` records.
+:func:`cross_validate` checks a range of bit lengths against one
+brute-force scan, and each index formula against its rendered bits.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ __all__ = [
     "cross_validate",
     "family_descriptors",
     "generate_kbit",
+    "kbit_rows",
     "render_bits",
 ]
 
@@ -130,36 +131,46 @@ def _exact_third(numerator: int) -> int:
     return q
 
 
-def closed_form_index(descriptor: FamilyDescriptor, n: int) -> int:
-    """Integer index of the record-setter, by geometric-sum closed form."""
-    _check_descriptor(descriptor, n)
+class _Table:
+    """A table whose entries are computed when read, ``T[i] == entry(i)``."""
+
+    def __init__(self, entry):
+        self.entry = entry
+
+    def __getitem__(self, i: int):
+        return self.entry(i)
+
+
+_POWERS_OF_TWO = _Table((1).__lshift__)  # P[i] == 1 << i in int arithmetic
+
+
+def _index(descriptor: FamilyDescriptor, n: int, P):
+    """Geometric-sum index of one family, read from a powers-of-two table covering ``0..2n+2``."""
     p = descriptor.parameter
     match descriptor.family_id:
         case "E1":
-            return (1 << (2 * n - 1)) + _exact_third(
-                (1 << (2 * n - 2)) - (1 << (2 * n - 2 * p - 3)) + 1
-            )
+            return P[2 * n - 1] + _exact_third(P[2 * n - 2] - P[2 * n - 2 * p - 3] + 1)
         case "E2":
-            return _exact_third((1 << (2 * n + 1)) - (1 << (2 * n - 2 * p)) - 1)
+            return _exact_third(P[2 * n + 1] - P[2 * n - 2 * p] - 1)
         case "E3":
-            return _exact_third((1 << (2 * n + 1)) + 1)
+            return _exact_third(P[2 * n + 1] + 1)
         case "O1":
-            return (1 << (2 * n)) + _exact_third((1 << (2 * n - 2)) - 1)
+            return P[2 * n] + _exact_third(P[2 * n - 2] - 1)
         case "O2":
-            return (
-                (1 << (2 * n))
-                + (1 << (2 * n - 3))
-                + _exact_third((1 << (2 * n - 4)) - 7)
-            )
+            return P[2 * n] + P[2 * n - 3] + _exact_third(P[2 * n - 4] - 7)
         case "O3":
-            return (1 << (2 * n)) + _exact_third(
-                (1 << (2 * n - 1)) - (1 << (2 * n - 2 * p - 2)) - 1
-            )
+            return P[2 * n] + _exact_third(P[2 * n - 1] - P[2 * n - 2 * p - 2] - 1)
         case "O4":
-            return _exact_third((1 << (2 * n + 2)) - (1 << (2 * n - 2 * p - 1)) + 1)
+            return _exact_third(P[2 * n + 2] - P[2 * n - 2 * p - 1] + 1)
         case "O5":
-            return _exact_third((1 << (2 * n + 2)) - 1)
+            return _exact_third(P[2 * n + 2] - 1)
     raise AssertionError
+
+
+def closed_form_index(descriptor: FamilyDescriptor, n: int) -> int:
+    """Integer index of the record-setter, by geometric-sum closed form."""
+    _check_descriptor(descriptor, n)
+    return _index(descriptor, n, _POWERS_OF_TWO)
 
 
 # Smallest half-length at which a parameterless family's Fibonacci
@@ -198,15 +209,11 @@ def closed_form_stern_value(descriptor: FamilyDescriptor, n: int) -> int:
     return _stern_value(descriptor, n, *fib_lucas_table(2 * n + 2))
 
 
-def _half_length(k: int) -> int:
-    return k // 2 if k % 2 == 0 else (k - 1) // 2
-
-
 def family_descriptors(k: int) -> list[FamilyDescriptor]:
     """All family descriptors for bit length ``k >= 12``."""
     if k < CLOSED_FORM_MIN_BITS:
         raise ValueError(f"closed forms start at {CLOSED_FORM_MIN_BITS} bits, got {k}")
-    n = _half_length(k)
+    n = k // 2
     parity = "even" if k % 2 == 0 else "odd"
     families = EVEN_FAMILIES if parity == "even" else ODD_FAMILIES
     out = []
@@ -228,37 +235,41 @@ def count_kbit(k: int) -> int:
     return (3 * k) // 4 - (-1) ** k
 
 
-def generate_kbit(k: int) -> list[RecordSetter]:
-    """All ``k``-bit record-setters with indices and Stern values.
+def kbit_rows(k: int, one=1):
+    """Yield ``(index, value, descriptor)`` of each ``k``-bit record-setter, in index order.
 
-    Below 12 bits the entries come from the frozen table (values via
-    the recurrence); from 12 bits on every family is instantiated over
-    its parameter range, its value read from one Fibonacci/Lucas table.
-    The list is sorted by index and verified to be strictly increasing
-    with the expected count.
+    Numbers have the type of ``one``: ``int``, or ``decimal.Decimal`` in an exact context.
+    Below 12 bits they come from the frozen table, without descriptor; from 12 bits on each
+    row is made as it is yielded and checked to exceed the last and lie in ``[P[k-1], P[k])``.
     """
     if k < 1:
         raise ValueError("bit length must be >= 1")
     if k <= SMALL_BITLENGTH_MAX:
-        indices = [int(bits, 2) for bits in SMALL_BITLENGTH_RECORDS[k]]
-        entries = [RecordSetter(index, stern_a(index)) for index in indices]
-    else:
-        n = _half_length(k)
-        F, L = fib_lucas_table(2 * n + 2)
-        entries = [
-            RecordSetter(
-                int(render_bits(descriptor, n), 2),
-                _stern_value(descriptor, n, F, L),
-                descriptor=descriptor,
-            )
-            for descriptor in family_descriptors(k)
-        ]
-    entries.sort(key=lambda e: e.index)
-    if any(a.index >= b.index for a, b in zip(entries, entries[1:])):
-        raise RuntimeError(f"family instantiation for k={k} produced duplicate indices")
-    if len(entries) != count_kbit(k) or any(e.index.bit_length() != k for e in entries):
-        raise RuntimeError(f"family instantiation for k={k} is inconsistent")
-    return entries
+        for index in sorted(int(bits, 2) for bits in SMALL_BITLENGTH_RECORDS[k]):
+            yield one * index, one * stern_a(index), None
+        return
+    n = k // 2
+    descriptors = family_descriptors(k)
+    if len(descriptors) != count_kbit(k):
+        raise RuntimeError(f"family instantiation for k={k} gives {len(descriptors)} rows")
+    descriptors.sort(key=lambda d: _index(d, n, _POWERS_OF_TWO))
+    P, F = [one], [0 * one, one]
+    for _ in range(2 * n + 2):
+        P.append(P[-1] + P[-1])
+        F.append(F[-1] + F[-2])
+    L = _Table(lambda i: F[i - 1] + F[i + 1])  # Lucas numbers, not stored
+    previous = P[k - 1] - 1
+    for descriptor in descriptors:
+        index = _index(descriptor, n, P)
+        if not previous < index < P[k]:
+            raise RuntimeError(f"family instantiation for k={k} is out of order or outside k bits")
+        previous = index
+        yield index, _stern_value(descriptor, n, F, L), descriptor
+
+
+def generate_kbit(k: int) -> list[RecordSetter]:
+    """All ``k``-bit record-setters in index order: the int rows of :func:`kbit_rows`."""
+    return [RecordSetter(i, value, descriptor=d) for i, value, d in kbit_rows(k)]
 
 
 def cross_validate(lo: int, hi: int) -> AuditReport:
@@ -289,13 +300,8 @@ def cross_validate(lo: int, hi: int) -> AuditReport:
                 violations.append((record.index, f"closed form gives index {entry.index}"))
             elif entry.value != record.value:
                 violations.append((record.index, f"closed form gives value {entry.value}"))
-        if k >= CLOSED_FORM_MIN_BITS:
-            n = _half_length(k)
-            for entry in expected:
-                d = entry.descriptor
-                formula_index = closed_form_index(d, n)
-                if formula_index != entry.index:
-                    violations.append(
-                        (entry.index, f"{d.family_id}({d.parameter}) formula gives {formula_index}")
-                    )
+        for entry in expected:  # from 12 bits on: the formula, keyed at the rendered bits
+            d, index = entry.descriptor, entry.index
+            if d and (at := int(render_bits(d, k // 2), 2)) != index:
+                violations.append((at, f"{d.family_id}({d.parameter}) formula gives {index}"))
     return AuditReport(violations, hi - lo + 1)

@@ -32,7 +32,6 @@ from sternseq import (
     verify_extremal_lemmas,
 )
 from sternseq.cli import main
-from sternseq.closedform import _half_length
 from sternseq.tables import FIRST_RECORDS, SMALL_BITLENGTH_RECORDS
 
 
@@ -143,7 +142,7 @@ def test_c08_closed_form_indices_and_values(capsys):
     start = time.perf_counter()
     ok = True
     for k in range(12, 41):
-        n = _half_length(k)
+        n = k // 2
         for descriptor in family_descriptors(k):
             index = closed_form_index(descriptor, n)
             value = closed_form_stern_value(descriptor, n)

@@ -1,10 +1,13 @@
 """Tests for the command-line interface and its output formats."""
 
+import decimal
+import errno
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +15,13 @@ import pytest
 
 from sternseq import (
     FamilyDescriptor,
-    RecordSetter,
     cli,
     closed_form_index,
     closed_form_stern_value,
+    count_kbit,
+    fib,
+    generate_kbit,
+    render_bits,
     stern_a,
 )
 from sternseq.budget import MAX_BITS_ENV_VAR
@@ -185,23 +191,23 @@ class TestRecords:
 
     @pytest.mark.parametrize("convention", ["A", "S"])
     def test_jsonlines_equal_json_dumps(self, convention):
-        records = (
-            cli._scanned(4, convention, False)  # index 0, whose bits are "0"
-            + cli._scanned(13, convention, True)
-            + cli._closed_form(14, convention, False)
-        )
-        assert {r.descriptor is None for r in records} == {True, False}
-        lines = list(cli.format_records(records, "jsonlines"))
-        assert len(lines) == len(records)
-        for record, line in zip(records, lines):
+        rows = [
+            *cli._scanned(4, convention, False),  # index 0, whose bits are "0"
+            *cli._scanned(13, convention, True),
+            *cli._closed_form(14, convention, False),  # decimal from 12 bits on
+        ]
+        assert {descriptor is None for *_, descriptor in rows} == {True, False}
+        lines = list(cli.format_records(rows, "jsonlines", convention))
+        assert len(lines) == len(rows)
+        for (index, value, _, descriptor), line in zip(rows, lines):
             doc = {
-                "index": str(record.index),
-                "bits": record.bits,
-                "value": str(record.value),
-                "k": record.bit_length,
+                "index": str(index),
+                "bits": format(int(index), "b"),
+                "value": str(value),
+                "k": int(index).bit_length(),
             }
-            if record.descriptor is not None:
-                doc["family"] = record.descriptor.family_id
+            if descriptor is not None:
+                doc["family"] = descriptor.family_id
             assert line == json.dumps(doc)
 
     def test_requires_a_range_option(self, capsys):
@@ -267,8 +273,9 @@ class TestPlot:
         assert cli._decimal_lines([np.zeros(1, np.int64)], ",") == "0\n"
 
 
-#: sha256 of outputs taken before plot streamed in windows and jsonlines
-#: stopped going through json.dumps; the output must stay byte-identical.
+#: sha256 of outputs taken before plot streamed in windows, jsonlines
+#: stopped going through json.dumps and closed-form listings were built in
+#: decimal; the output must stay byte-identical.
 PINNED_OUTPUT_SHA256 = {
     "plot --max 200000": "6940b269485e3af37bb2e107dfdd9fdde1dc99f9a36846dbf6e33d378caee6c6",
     "plot --max 200000 --format plain": (
@@ -279,6 +286,9 @@ PINNED_OUTPUT_SHA256 = {
     ),
     "records --max-bits 40 --source closed-form --format jsonlines --convention S": (
         "9abd5a59823a317999b4967a3ace4142cf595da5ae43a2c7428a912e644fe032"
+    ),
+    "records --bits 6000 --source closed-form --format bfile": (
+        "2b20ad69ee474f229d4dd3bfc131df70ebd77e4ef15087580f3d6fb5851fd4f2"
     ),
 }
 
@@ -294,7 +304,9 @@ def test_scalar_commands_do_not_import_numpy():
     script = (
         "import sys, sternseq.cli\n"
         "assert 'numpy' not in sys.modules, 'imported by sternseq.cli'\n"
+        "assert 'decimal' not in sys.modules, 'decimal imported by sternseq.cli'\n"
         "sternseq.cli.main(['value', '11'])\n"
+        "assert 'decimal' not in sys.modules, 'decimal imported by value'\n"
         "sternseq.cli.main(['records', '--bits', '40', '--source', 'closed-form'])\n"
         "assert 'numpy' not in sys.modules, 'imported by a scalar command'\n"
     )
@@ -426,36 +438,124 @@ class TestParseBfile:
     not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int-to-str limit"
 )
 class TestBeyondIntStrLimit:
-    """The 14,300-bit E3 record-setter has an index of 4,305 decimal digits."""
+    """The 14,300-bit row ends in the E3 record-setter, whose index has 4,305 decimal digits."""
 
     @pytest.fixture(scope="class")
-    def e3_entry(self):
+    def e3_row(self):
+        # Decimal(int) converts exactly, without going through decimal text.
         descriptor = FamilyDescriptor("even", "E3")
-        index = closed_form_index(descriptor, 7150)
-        value = closed_form_stern_value(descriptor, 7150)
-        return RecordSetter(index, value, descriptor=descriptor)
+        index = Decimal(closed_form_index(descriptor, 7150))
+        value = Decimal(closed_form_stern_value(descriptor, 7150))
+        return index, value, 14300, descriptor
 
     @pytest.mark.parametrize("fmt", FORMATS)
-    def test_format_records_restores_limit(self, e3_entry, fmt):
+    def test_format_records_restores_limit(self, e3_row, fmt):
+        # A decimal row is written in every format under the default limit.
         limit = sys.get_int_max_str_digits()
-        with cli._unlimited_int_str():
-            text = "\n".join(cli.format_records([e3_entry], fmt))
-            digits = str(e3_entry.index)
+        text = "\n".join(cli.format_records([e3_row], fmt))
+        digits = str(e3_row[0])
         assert sys.get_int_max_str_digits() == limit
         assert len(digits) == 4305 and digits in text
-        assert str(e3_entry.value) in text
+        assert str(e3_row[1]) in text
+        if fmt != "bfile":
+            assert render_bits(e3_row[3], 7150) in text
         # Outside input is still parsed under the default guard.
         with pytest.raises(ValueError):
             parse_bfile(f"{digits} 1")
 
     @pytest.mark.parametrize("fmt", FORMATS)
-    def test_records_command_exits_zero(self, capsys, monkeypatch, e3_entry, fmt):
-        monkeypatch.setattr(cli, "generate_kbit", lambda k: [e3_entry])
+    def test_records_command_exits_zero(self, capsys, monkeypatch, e3_row, fmt):
+        index, value, _, descriptor = e3_row
+        if fmt != "bfile":
+            # Each of the 10,724 lines would also carry 14,300 bits: write the last row only.
+            monkeypatch.setattr(cli, "kbit_rows", lambda k, one: iter([(index, value, descriptor)]))
         limit = sys.get_int_max_str_digits()
         code, out, err = run(
             capsys, "records", "--bits", "14300", "--source", "closed-form", "--format", fmt
         )
         assert (code, err) == (EXIT_OK, "")
         assert sys.get_int_max_str_digits() == limit
-        with cli._unlimited_int_str():
-            assert str(e3_entry.index) in out[-1]
+        if fmt != "bfile":
+            assert len(out) == (2 if fmt == "csv" else 1)
+            for text in (str(index), str(value), render_bits(descriptor, 7150)):
+                assert text in out[-1]
+            return
+        assert len(out) == count_kbit(14300) == 10724
+        for line in (out[0], out[-1]):
+            index, value = (int(Decimal(number)) for number in line.split())
+            assert index.bit_length() == 14300
+            assert stern_a(index) == value
+        assert value == fib(14301)
+        with pytest.raises(ValueError):
+            parse_bfile(out[-1])
+
+
+@pytest.mark.parametrize("convention", ["A", "S"])
+def test_decimal_rows_equal_generate_kbit(convention):
+    shift = 1 if convention == "S" else 0
+    for k in [*range(1, 201), 511, 512, 999, 1000]:
+        rows = list(cli._closed_form(k, convention, True))
+        expected = [
+            (e.index - shift, e.value, k, e.descriptor)
+            for e in generate_kbit(k)
+            if e.index - shift  # the 1-bit record maps to s-index 0
+        ]
+        assert rows == expected
+        assert all(type(n) is Decimal for index, value, *_ in rows for n in (index, value))
+
+
+def test_records_leaves_the_decimal_context_unchanged(capsys):
+    context = decimal.getcontext()
+    settings = (context.prec, context.Emax, dict(context.traps), dict(context.flags))
+    assert main(["records", "--max-bits", "40", "--source", "closed-form"]) == EXIT_OK
+    assert decimal.getcontext() is context
+    assert (context.prec, context.Emax, dict(context.traps), dict(context.flags)) == settings
+
+
+def _spawn(argv, **kwargs):
+    """The command line in a fresh interpreter, as the console script runs it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    script = "import sys; from sternseq.cli import main; sys.exit(main())"
+    return subprocess.Popen([sys.executable, "-c", script, *argv], env=env, **kwargs)
+
+
+def _quiet_after_close(proc):
+    """Exit code and standard error of ``proc`` once its reader has closed the pipe."""
+    proc.stdout.close()  # long before the output ends
+    _, err = proc.communicate(timeout=60)
+    return proc.returncode, err
+
+
+class TestOutputErrors:
+    def test_plot_into_head_one(self):  # plot --max 1000000 | head -1
+        proc = _spawn(["plot", "--max", "1000000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"0,0,0\n"
+        assert _quiet_after_close(proc) == (EXIT_OK, b"")
+
+    def test_closed_form_records_into_head_ten_bytes(self):  # records ... | head -c 10
+        argv = ["records", "--bits", "2000", "--source", "closed-form", "--format", "bfile"]
+        proc = _spawn(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.read(10) == str(generate_kbit(2000)[0].index)[:10].encode()
+        assert _quiet_after_close(proc) == (EXIT_OK, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (["records", "--bits", "600", "--source", "closed-form", "--output"], "/dev/full"),
+            (["plot", "--max", "100000", "--output"], "/dev/full"),
+            (["records", "--max-bits", "12", "--source", "closed-form"], "standard output"),
+            (["value", "11"], "standard output"),
+        ],
+        ids=["records-output", "plot-output", "records-stdout", "value-stdout"],
+    )
+    def test_write_error_is_one_line(self, argv, target):
+        if target != "standard output":
+            argv = [*argv, target]
+        with open("/dev/full", "w") as full:
+            proc = _spawn(argv, stdout=full, stderr=subprocess.PIPE)
+            _, err = proc.communicate(timeout=60)
+        assert proc.returncode == EXIT_USAGE
+        assert err.decode().splitlines() == [
+            f"error: cannot write {target}: {os.strerror(errno.ENOSPC)}"
+        ]

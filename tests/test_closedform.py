@@ -1,5 +1,8 @@
 """Tests for the closed-form record-setter families and helpers."""
 
+import itertools
+from decimal import Decimal
+
 import pytest
 
 from sternseq import (
@@ -17,7 +20,8 @@ from sternseq import (
     render_bits,
     stern_a,
 )
-from sternseq.closedform import _half_length
+from sternseq import closedform
+from sternseq.closedform import kbit_rows
 from sternseq.tables import SMALL_BITLENGTH_RECORDS
 
 
@@ -136,7 +140,7 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("k", range(12, 65))
     def test_index_formula_matches_rendering(self, k):
-        n = _half_length(k)
+        n = k // 2
         for descriptor in family_descriptors(k):
             assert closed_form_index(descriptor, n) == int(render_bits(descriptor, n), 2)
 
@@ -144,7 +148,7 @@ class TestClosedForms:
     def test_stern_value_formula_matches_matrix_calculus(self, k):
         # Large-k oracle: a(v) = s(v-1) = G(binary(v-1)) via the
         # transfer-matrix product, no scan involved.
-        n = _half_length(k)
+        n = k // 2
         for descriptor in family_descriptors(k):
             index = int(render_bits(descriptor, n), 2)
             assert closed_form_stern_value(descriptor, n) == g_value(format(index - 1, "b"))
@@ -187,7 +191,7 @@ class TestGenerateKbit:
     def test_deep_row_values_match_recurrence(self, k):
         # Independent of the table: the recurrence on each index, and the
         # single-descriptor path with a table of its own.
-        n = _half_length(k)
+        n = k // 2
         for entry in generate_kbit(k):
             assert entry.value == stern_a(entry.index)
             assert closed_form_stern_value(entry.descriptor, n) == entry.value
@@ -195,6 +199,20 @@ class TestGenerateKbit:
     def test_validation(self):
         with pytest.raises(ValueError):
             generate_kbit(0)
+
+    @pytest.mark.parametrize("one", [1, Decimal(1)], ids=["int", "Decimal"])
+    def test_row_checks_hold_for_both_number_types(self, monkeypatch, one):
+        # E3, the last 12-bit row, pushed past 2**12 by a corrupted index body.
+        index = closedform._index
+        monkeypatch.setattr(
+            closedform,
+            "_index",
+            lambda d, n, P: index(d, n, P) + (P[2 * n] if d.family_id == "E3" else 0),
+        )
+        rows = kbit_rows(12, one)
+        assert [i for i, _, _ in itertools.islice(rows, 7)][-1] == 2709
+        with pytest.raises(RuntimeError, match="out of order or outside k bits"):
+            next(rows)
 
     @pytest.mark.parametrize("k, expected", [(12, 8), (13, 10), (7, 5), (1, 1), (11, 8)])
     def test_count_kbit(self, k, expected):
@@ -222,6 +240,17 @@ class TestCrossValidation:
     def test_one_scan_covers_the_range(self):
         report = cross_validate(1, 16)
         assert (report.violations, report.checked_count) == ([], 16)
+
+    def test_corrupted_index_formula_fails(self, monkeypatch):
+        # O5 two above its rendering: still the last 13- and 15-bit row.
+        index = closedform._index
+        monkeypatch.setattr(
+            closedform, "_index", lambda d, n, P: index(d, n, P) + 2 * (d.family_id == "O5")
+        )
+        report = cross_validate(12, 16)
+        assert not report.ok
+        assert (5461, "O5(None) formula gives 5463") in report.violations
+        assert (5461, "closed form gives index 5463") in report.violations
 
     @pytest.mark.parametrize("lo, hi", [(0, 5), (-1, 3), (6, 5)])
     def test_invalid_range(self, lo, hi):
