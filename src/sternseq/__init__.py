@@ -19,12 +19,10 @@ from .closedform import (
     render_bits,
 )
 from .core import (
-    SternRow,
     hyperbinary_count_dp,
     hyperbinary_enumerate,
     stern_a,
     stern_range,
-    stern_row,
     stern_s,
 )
 from .fibonacci import fib, fib_lucas_table, lucas
@@ -61,7 +59,6 @@ __all__ = [
     "FamilyDescriptor",
     "Mat2",
     "RecordSetter",
-    "SternRow",
     "audit_substring_properties",
     "closed_form_index",
     "closed_form_stern_value",
@@ -87,7 +84,6 @@ __all__ = [
     "render_bits",
     "stern_a",
     "stern_range",
-    "stern_row",
     "stern_s",
     "verify_extremal_lemmas",
 ]

@@ -1,13 +1,13 @@
-"""Memory budget for brute-force scans and row materialization.
+"""Ceiling on the indices that brute-force scans may visit.
 
-Dense rows and full scans are bounded by a ceiling on the index bit
-length: operations touching indices below 2**ceiling are allowed,
-anything larger raises :class:`BudgetExceededError`.  At the default
-of 24 bits a full scan (``verify --k-range 12..24``) peaks at 72.6 MiB
-of resident memory; ``plot`` streams its rows, so its peak does not
-depend on the ceiling.  The ceiling can be raised through the
-``STERNSEQ_MAX_BITS`` environment variable when more memory is
-available.
+Full record scans and ``plot`` are bounded by a ceiling on the index
+bit length: indices below 2**ceiling are allowed, anything larger
+raises :class:`BudgetExceededError`.  Both run in fixed-size chunks,
+so the ceiling bounds the work (the indices scanned), not the memory:
+a full scan at the default of 24 bits (``verify --k-range 12..24``)
+peaks at 72.6 MiB of resident memory, and neither peak grows with the
+ceiling.  The ``STERNSEQ_MAX_BITS`` environment variable raises or
+lowers it.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ MAX_BITS_ENV_VAR = "STERNSEQ_MAX_BITS"
 
 
 class BudgetExceededError(Exception):
-    """A scan or row allocation would exceed the configured memory ceiling."""
+    """A scan would visit indices beyond the configured ceiling on index bits."""
 
 
 def memory_ceiling_bits() -> int:
-    """Current ceiling on index bit length for dense operations."""
+    """Current ceiling on the index bit length that scans may visit."""
     raw = os.environ.get(MAX_BITS_ENV_VAR)
     if raw is None:
         return DEFAULT_MAX_BITS

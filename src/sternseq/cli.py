@@ -9,8 +9,8 @@ Subcommands::
     table    reproduce the three frozen reference tables
 
 Exit codes: 0 success (also when the reader stops early, as ``head`` does),
-1 verification failure, 2 usage or write error, 3 memory budget exceeded
-(override the budget with ``STERNSEQ_MAX_BITS``).
+1 verification failure, 2 usage or write error, 3 scan ceiling exceeded: the
+indices to scan go beyond the ceiling on index bits (``STERNSEQ_MAX_BITS``).
 """
 
 from __future__ import annotations

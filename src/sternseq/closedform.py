@@ -31,7 +31,10 @@ brute-force scan, and each index formula against its rendered bits.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
 from .core import stern_a
 from .fibonacci import fib_lucas_table
@@ -252,15 +255,19 @@ def kbit_rows(k: int, one=1):
     descriptors = family_descriptors(k)
     if len(descriptors) != count_kbit(k):
         raise RuntimeError(f"family instantiation for k={k} gives {len(descriptors)} rows")
-    descriptors.sort(key=lambda d: _index(d, n, _POWERS_OF_TWO))
     P, F = [one], [0 * one, one]
     for _ in range(2 * n + 2):
         P.append(P[-1] + P[-1])
         F.append(F[-1] + F[-2])
     L = _Table(lambda i: F[i - 1] + F[i + 1])  # Lucas numbers, not stored
+    # Each family's index grows with its parameter (checked below), so merging the families'
+    # runs gives index order.  groupby empties a group once it moves on: take list(run) now.
+    runs = [
+        ((_index(d, n, P), d) for d in list(run))
+        for _, run in itertools.groupby(descriptors, key=attrgetter("family_id"))
+    ]
     previous = P[k - 1] - 1
-    for descriptor in descriptors:
-        index = _index(descriptor, n, P)
+    for index, descriptor in heapq.merge(*runs, key=itemgetter(0)):
         if not previous < index < P[k]:
             raise RuntimeError(f"family instantiation for k={k} is out of order or outside k bits")
         previous = index

@@ -7,29 +7,25 @@ The sequence (OEIS A002487) is defined by ``a(0) = 0``, ``a(1) = 1``,
 
 Besides the recurrence this module provides two independent oracles --
 explicit enumeration of the representations and a carry-state dynamic
-program over the binary digits -- plus memory-efficient generation of
-whole bit-length rows ``a(2**(k-1)) .. a(2**k - 1)`` for brute-force
-scans.
+program over the binary digits -- plus dense windows
+``a(lo) .. a(hi - 1)`` of any index range, computed without earlier
+values, for brute-force scans.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .budget import check_bits_budget
 from .fibonacci import fib
 
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "SternRow",
     "hyperbinary_count_dp",
     "hyperbinary_enumerate",
     "stern_a",
     "stern_range",
-    "stern_row",
     "stern_s",
 ]
 
@@ -128,14 +124,15 @@ _WIDTH_32_MAX_BITS = 45
 _WIDTH_64_MAX_BITS = 91
 
 
-def _cell_dtype(bits: int) -> tuple[np.dtype, int | None]:
+def _cell_dtype(bits: int) -> np.dtype:
     import numpy as np
 
-    if bits <= _WIDTH_32_MAX_BITS:
-        return np.dtype(np.uint32), 32
-    if bits <= _WIDTH_64_MAX_BITS:
-        return np.dtype(np.uint64), 64
-    return np.dtype(object), None
+    if bits > _WIDTH_64_MAX_BITS:
+        return np.dtype(object)
+    dtype = np.dtype(np.uint32 if bits <= _WIDTH_32_MAX_BITS else np.uint64)
+    # Checked promotion: the Lucas bound F(bits+1) must fit the cells.
+    assert fib(bits + 1) <= int(np.iinfo(dtype).max)
+    return dtype
 
 
 def stern_range(lo: int, hi: int, dtype: np.dtype | type | None = None) -> np.ndarray:
@@ -151,7 +148,7 @@ def stern_range(lo: int, hi: int, dtype: np.dtype | type | None = None) -> np.nd
     if lo < 0 or hi < lo:
         raise ValueError(f"invalid index range [{lo}, {hi})")
     if dtype is None:
-        dtype = _cell_dtype(max(hi - 1, 1).bit_length())[0]
+        dtype = _cell_dtype(max(hi - 1, 1).bit_length())
     dtype = np.dtype(dtype)
     length = hi - lo
     if length == 0:
@@ -169,40 +166,3 @@ def stern_range(lo: int, hi: int, dtype: np.dtype | type | None = None) -> np.nd
         out[0::2] = parents[:n_even_first] + parents[1 : n_even_first + 1]
         out[1::2] = parents[1 : n_odd_first + 1]
     return out
-
-
-@dataclass(frozen=True)
-class SternRow:
-    """The block ``a(2**(k-1)) .. a(2**k - 1)`` of one bit length.
-
-    ``cell_width`` is the fixed storage width in bits, or ``None`` when
-    the row had to be promoted to arbitrary-precision cells.
-    """
-
-    bit_length: int
-    values: np.ndarray = field(repr=False)
-    cell_width: int | None
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def stern_row(k: int) -> SternRow:
-    """Materialize the row of all ``k``-bit indices.
-
-    Built from the previous row by the diatomic interleaving (even
-    indices copy, odd indices sum adjacent values).  Raises
-    ``BudgetExceededError`` when the row does not fit under the
-    configured memory ceiling.
-    """
-    import numpy as np
-
-    if k < 1:
-        raise ValueError("bit length must be >= 1")
-    check_bits_budget(k, f"row of {k}-bit indices")
-    dtype, width = _cell_dtype(k)
-    if width is not None:
-        # Checked promotion: the Lucas bound F(k+1) must fit the cells.
-        assert fib(k + 1) <= int(np.iinfo(dtype).max)
-    values = stern_range(1 << (k - 1), 1 << k, dtype)
-    return SternRow(bit_length=k, values=values, cell_width=width)

@@ -5,8 +5,9 @@ value.  Two indexing conventions coexist: "A" records the diatomic
 sequence ``a`` itself (OEIS A212288), "S" records the shifted sequence
 ``s(n) = a(n+1)``; for every positive record index ``v`` of ``a`` the
 index ``v - 1`` is a record of ``s``, so both have the same values.
+One scan of ``a`` serves both: the "S" records are read off it.
 
-The scans here are deliberately dumb (linear, chunked) so they can act
+The scan here is deliberately dumb (linear, chunked) so it can act
 as ground truth for the closed-form classification and for the
 structural properties of record-setters: no ``11`` substring, no
 ``10000`` substring, ``1000`` only as a prefix, and decomposability
@@ -90,22 +91,20 @@ def _validate_convention(convention: str) -> Convention:
 
 
 @lru_cache(maxsize=8)
-def _records_scan_cached(k_max: int, convention: Convention) -> tuple[RecordSetter, ...]:
+def _records_scan_cached(k_max: int) -> tuple[RecordSetter, ...]:
     import numpy as np
 
-    shift = 1 if convention == "S" else 0
     records: list[RecordSetter] = []
     prev = np.int64(-1)
     hi = 1 << k_max
     for lo in range(0, hi, _SCAN_CHUNK):
-        chunk_hi = min(lo + _SCAN_CHUNK, hi)
-        vals = stern_range(lo + shift, chunk_hi + shift, np.int64)
+        vals = stern_range(lo, min(lo + _SCAN_CHUNK, hi), np.int64)
         cummax = np.maximum.accumulate(vals)
         before = np.empty_like(vals)
         before[0] = prev
         np.maximum(cummax[:-1], prev, out=before[1:])
         for pos in np.flatnonzero(vals > before):
-            records.append(RecordSetter(lo + int(pos), int(vals[pos]), convention))
+            records.append(RecordSetter(lo + int(pos), int(vals[pos])))
         prev = max(prev, cummax[-1])
     return tuple(records)
 
@@ -114,13 +113,20 @@ def records_scan(k_max: int, convention: Convention = "A") -> list[RecordSetter]
     """All record-setters with index below ``2**k_max``, in index order.
 
     Index 0 is included in both conventions (value 0 for "A", 1 for
-    "S").  Raises ``BudgetExceededError`` beyond the memory ceiling.
+    "S").  Both read one scan of ``a`` below ``2**k_max``: the "S" records
+    are its records from index 1 on, each moved down by one.  This is
+    exact: an "S" scan reads ``a(1 .. 2**k_max)``, and ``a(2**k_max) = 1``
+    is never a record, since ``a(1) = 1`` comes first.  Raises
+    ``BudgetExceededError`` when ``k_max`` exceeds the ceiling on index bits.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     convention = _validate_convention(convention)
     check_bits_budget(k_max, f"scan of all indices below 2**{k_max}")
-    return list(_records_scan_cached(k_max, convention))
+    scan = _records_scan_cached(k_max)
+    if convention == "A":
+        return list(scan)
+    return [RecordSetter(r.index - 1, r.value, "S") for r in scan if r.index]
 
 
 def records_in_bitlength(k: int, convention: Convention = "A") -> list[RecordSetter]:

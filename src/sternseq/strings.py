@@ -39,14 +39,9 @@ from dataclasses import dataclass
 __all__ = [
     "BOTTOM",
     "Bottom",
-    "COLUMN_END",
     "Comparator",
     "GenStringOrZero",
-    "IDENTITY",
     "Mat2",
-    "MU0",
-    "MU1",
-    "ROW_START",
     "delta",
     "dominates",
     "double_prime",
@@ -124,26 +119,14 @@ class Mat2:
         )
 
 
-IDENTITY = Mat2(1, 0, 0, 1)
-
-#: Transfer matrix of the digit 1: it may stay (state 0->0), break
-#: (0->1), and if it received a broken unit it has value 3 and must
-#: break (1->1).
-MU1 = Mat2(1, 1, 0, 1)
-
-#: Transfer matrix of the digit 0: it cannot break on its own (0->0),
-#: and after receiving a unit it is a 2 that may stay or break (1->0,
-#: 1->1).
-MU0 = Mat2(1, 0, 1, 1)
-
-# Boundary vectors selecting "no incoming break" / "no outgoing break":
-# G(x) is ROW_START . mu(x) . COLUMN_END, i.e. the top-left entry.
-ROW_START = (1, 0)
-COLUMN_END = (1, 0)
-
-
 def mu_of(x: str) -> Mat2:
-    """Transfer matrix of a binary digit string; ``mu_of("") == IDENTITY``."""
+    """Transfer matrix of a binary digit string: the product of its digits' matrices.
+
+    Digit 1 has ``[[1, 1], [0, 1]]``: it may stay or break, and after a
+    broken unit arrives it is a 3 that must break.  Digit 0 has
+    ``[[1, 0], [1, 1]]``: it cannot break alone, and after a unit arrives
+    it is a 2 that may stay or break.  ``mu_of("")`` is the identity.
+    """
     _check_binary(x)
     a, b, c, d = 1, 0, 0, 1
     for ch in x:
@@ -166,7 +149,7 @@ def g_value(x: GenStringOrZero) -> int:
     if isinstance(x, Bottom):
         return 0
     _check_digits(x)
-    # Fold the row vector ROW_START through the per-digit transfer
+    # Fold the row vector (1, 0), "no incoming break", through the digits' transfer
     # matrices; r0/r1 = counts with the previous position unbroken/broken.
     r0, r1 = 1, 0
     for ch in x:
@@ -256,9 +239,10 @@ def dominates(kind: Comparator, t: str, y: str) -> bool:
     """Whether ``t`` dominates ``y`` under the given comparator.
 
     Entrywise comparison of ``mu(t)`` against ``mu(y)`` (INFIX), of
-    ``mu(.) @ COLUMN_END`` (SUFFIX), or of ``ROW_START @ mu(.)``
-    (PREFIX).  Only the matrix inequality is tested; callers combine it
-    with ``[t]_2 < [y]_2`` when using it to rule out record candidates.
+    their first columns ``mu(.) @ (1, 0)`` (SUFFIX), or of their first
+    rows ``(1, 0) @ mu(.)`` (PREFIX).  Only the matrix inequality is
+    tested; callers combine it with ``[t]_2 < [y]_2`` when using it to
+    rule out record candidates.
     """
     mt, my = mu_of(t), mu_of(y)
     if kind is Comparator.INFIX:

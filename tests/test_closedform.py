@@ -214,6 +214,14 @@ class TestGenerateKbit:
         with pytest.raises(RuntimeError, match="out of order or outside k bits"):
             next(rows)
 
+    def test_family_run_out_of_parameter_order_fails(self, monkeypatch):
+        # Rows merge one run per family, each in parameter order; a run
+        # whose index falls is caught, not merged out of order.
+        descriptors = closedform.family_descriptors
+        monkeypatch.setattr(closedform, "family_descriptors", lambda k: descriptors(k)[::-1])
+        with pytest.raises(RuntimeError, match="out of order or outside k bits"):
+            list(kbit_rows(14))
+
     @pytest.mark.parametrize("k, expected", [(12, 8), (13, 10), (7, 5), (1, 1), (11, 8)])
     def test_count_kbit(self, k, expected):
         assert count_kbit(k) == expected

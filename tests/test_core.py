@@ -1,4 +1,4 @@
-"""Tests for the sequence core: recurrence, rows, hyperbinary oracles."""
+"""Tests for the sequence core: recurrence, dense windows and rows, hyperbinary oracles."""
 
 import numpy as np
 import pytest
@@ -6,16 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sternseq import (
-    BudgetExceededError,
     fib,
     hyperbinary_count_dp,
     hyperbinary_enumerate,
     stern_a,
     stern_range,
-    stern_row,
     stern_s,
 )
-from sternseq.budget import MAX_BITS_ENV_VAR
 from sternseq.tables import INITIAL_VALUES
 
 A_FIRST_16 = (0, 1, 1, 2, 1, 3, 2, 3, 1, 4, 3, 5, 2, 5, 3, 4)
@@ -88,22 +85,28 @@ class TestSternRange:
             stern_range(-1, 4)
 
 
+def _row(k: int) -> np.ndarray:
+    """The row of all k-bit indices, ``a(2**(k-1)) .. a(2**k - 1)``, in default cells."""
+    return stern_range(1 << (k - 1), 1 << k)
+
+
 class TestSternRow:
+    """Bit-length rows ``a(2**(k-1)) .. a(2**k - 1)``, read from ``stern_range``."""
+
     def test_row_four(self):
-        row = stern_row(4)
-        assert row.values.tolist() == [1, 4, 3, 5, 2, 5, 3, 4]
-        assert row.bit_length == 4
-        assert row.cell_width == 32
+        row = _row(4)
+        assert row.tolist() == [1, 4, 3, 5, 2, 5, 3, 4]
+        assert row.dtype == np.uint32
 
     def test_row_one(self):
-        assert stern_row(1).values.tolist() == [1]
+        assert _row(1).tolist() == [1]
 
     def test_row_length(self):
         for k in (1, 2, 5, 10):
-            assert len(stern_row(k)) == 1 << (k - 1)
+            assert len(_row(k)) == 1 << (k - 1)
 
     def test_row_twelve_max_is_fibonacci(self):
-        assert int(stern_row(12).values.max()) == 233 == fib(13)
+        assert int(_row(12).max()) == 233 == fib(13)
 
     @pytest.mark.parametrize("k", range(1, 21))
     def test_row_maximum_and_first_position(self, k):
@@ -111,7 +114,7 @@ class TestSternRow:
         # index attaining it is one past the first s-index doing so,
         # whose binary form is (10)^n for k = 2n and (10)^n 0 for
         # k = 2n+1.
-        row = stern_row(k).values
+        row = _row(k)
         assert int(row.max()) == fib(k + 1)
         first_index = (1 << (k - 1)) + int(np.argmax(row))
         if k == 1:
@@ -124,42 +127,34 @@ class TestSternRow:
     def _windows(k: int, window: int) -> np.ndarray:
         """The k-bit row as concatenated ``stern_range`` windows of ``window`` indices."""
         lo, hi = 1 << (k - 1), 1 << k
-        dtype = stern_row(k).values.dtype
         return np.concatenate(
-            [stern_range(start, min(start + window, hi), dtype) for start in range(lo, hi, window)]
+            [stern_range(start, min(start + window, hi)) for start in range(lo, hi, window)]
         )
 
     @pytest.mark.parametrize("k", [1, 2, 5, 13, 16])
     @pytest.mark.parametrize("chunk_size", [1, 7, 64, 10_000])
     def test_chunked_equals_unchunked(self, k, chunk_size):
-        assert np.array_equal(stern_row(k).values, self._windows(k, chunk_size))
+        assert np.array_equal(_row(k), self._windows(k, chunk_size))
 
     def test_chunked_equals_unchunked_large_row(self):
-        whole = stern_row(20).values
+        whole = _row(20)
         for chunk_size in (4096, 100_000):
             assert np.array_equal(whole, self._windows(20, chunk_size))
 
     def test_cell_width_policy(self):
         from sternseq.core import _cell_dtype
 
-        assert _cell_dtype(45) == (np.dtype(np.uint32), 32)
-        assert _cell_dtype(46) == (np.dtype(np.uint64), 64)
-        assert _cell_dtype(91) == (np.dtype(np.uint64), 64)
-        assert _cell_dtype(92) == (np.dtype(object), None)
+        assert _cell_dtype(45) == np.dtype(np.uint32)
+        assert _cell_dtype(46) == np.dtype(np.uint64)
+        assert _cell_dtype(91) == np.dtype(np.uint64)
+        assert _cell_dtype(92) == np.dtype(object)
+        # The Lucas bound F(k+1) of each width's widest row fits its cells.
+        assert fib(46) <= np.iinfo(np.uint32).max
+        assert fib(92) <= np.iinfo(np.uint64).max
 
     def test_object_dtype_path(self):
         # Arbitrary-precision cells remain exact.
         assert stern_range(0, 64, object).tolist() == [stern_a(n) for n in range(64)]
-
-    def test_budget_enforced(self, monkeypatch):
-        monkeypatch.setenv(MAX_BITS_ENV_VAR, "10")
-        with pytest.raises(BudgetExceededError):
-            stern_row(11)
-        stern_row(10)  # at the ceiling is fine
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            stern_row(0)
 
 
 class TestHyperbinaryEnumeration:

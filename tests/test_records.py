@@ -12,6 +12,7 @@ from sternseq import (
     generate_kbit,
     records_in_bitlength,
     records_scan,
+    stern_s,
     verify_extremal_lemmas,
 )
 from sternseq.budget import MAX_BITS_ENV_VAR
@@ -41,6 +42,28 @@ class TestRecordsScan:
         s_recs = records_scan(12, "S")
         assert [r.index for r in s_recs] == [r.index - 1 for r in a_recs if r.index >= 1]
         assert [r.value for r in s_recs] == [r.value for r in a_recs if r.index >= 1]
+
+    @pytest.mark.parametrize("k", range(1, 15))
+    def test_shifted_records_match_running_maximum_of_s(self, k):
+        # Independent of the "A" scan that records_scan(k, "S") reads.
+        naive, best = [], -1
+        for n in range(1 << k):
+            v = stern_s(n)
+            if v > best:
+                naive.append((n, v))
+                best = v
+        assert [(r.index, r.value, r.convention) for r in records_scan(k, "S")] == [
+            (n, v, "S") for n, v in naive
+        ]
+
+    def test_both_conventions_share_one_cached_scan(self):
+        from sternseq import records as records_module
+
+        records_module._records_scan_cached.cache_clear()
+        records_scan(11, "A")
+        records_scan(11, "S")
+        info = records_module._records_scan_cached.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
     def test_records_strictly_increase(self):
         recs = records_scan(10, "A")
@@ -108,7 +131,8 @@ class TestRecordsInBitlength:
         shorter = [(r.index, r.value) for r in records_scan(10, "A")]
         assert longer[: len(shorter)] == shorter
 
-    def test_chunk_boundaries_preserve_records(self, monkeypatch):
+    @pytest.mark.parametrize("convention, shift", [("A", 0), ("S", 1)], ids=["A", "S"])
+    def test_chunk_boundaries_preserve_records(self, monkeypatch, convention, shift):
         # Force tiny scan chunks so the running maximum must be carried
         # across many boundaries, and compare against a naive reference.
         from sternseq import records as records_module
@@ -119,11 +143,11 @@ class TestRecordsInBitlength:
         try:
             naive, best = [], -1
             for n in range(1 << 10):
-                v = stern_a(n)
+                v = stern_a(n + shift)
                 if v > best:
                     naive.append((n, v))
                     best = v
-            assert [(r.index, r.value) for r in records_scan(10, "A")] == naive
+            assert [(r.index, r.value) for r in records_scan(10, convention)] == naive
         finally:
             records_module._records_scan_cached.cache_clear()
 
