@@ -27,12 +27,12 @@ from .budget import (
     check_bits_budget,
     memory_ceiling_bits,
 )
-from .closedform import CLOSED_FORM_MIN_BITS, generate_kbit, kbit_rows, render_bits
+from .closedform import CLOSED_FORM_MIN_BITS, kbit_listing, kbit_rows
 from .core import hyperbinary_count_dp, stern_a, stern_range, stern_s
-from .records import records_in_bitlength, records_scan
+from .records import check_scan_budget, records_in_bitlength, records_scan
 from .strings import g_value
 from .tables import FIRST_RECORDS, SMALL_BITLENGTH_MAX
-from .verify import SUITES
+from .verify import SCANNING_SUITES, SUITES
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -63,37 +63,38 @@ def _output(path: str | None):
 
 
 def format_records(rows, fmt: str, convention: str = "A"):
-    """Render ``(index, value, k, descriptor)`` rows, one line each, in one of the output formats.
+    """Render ``(index, value, k, family, parameter)`` rows, one line each, in an output format.
 
-    ``index`` and ``value`` are ``int`` or ``decimal.Decimal``; a row with
-    a descriptor takes its bits from its pattern, not from its index.
-    ``bfile`` follows the OEIS flat-file convention ("index value" per
-    line); ``jsonlines`` string-encodes the integers so arbitrarily
-    large values survive tools that parse numbers as doubles.  The
-    family column is the descriptor's family id, if any.  Every
-    ``jsonlines`` field is decimal or binary digits, an ASCII family id
-    or an int, so the line is the ``json.dumps`` layout written out
-    directly, with nothing to escape.
+    ``index`` and ``value`` are ``int`` or ``decimal.Decimal``; ``family``
+    and ``parameter`` are as :func:`~sternseq.closedform.kbit_rows` yields
+    them.  A row with a family takes its bits from the family's pattern,
+    not from its index; ``bfile`` makes no bits.  ``bfile`` follows the
+    OEIS flat-file convention ("index value" per line); ``jsonlines``
+    string-encodes the integers so arbitrarily large values survive tools
+    that parse numbers as doubles.  The family column is the family id,
+    if any.  Every ``jsonlines`` field is decimal or binary digits, an
+    ASCII family id or an int, so the line is the ``json.dumps`` layout
+    written out directly, with nothing to escape.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     if fmt == "csv":
         yield "index,bits,value,k,family"
-    for index, value, k, descriptor in rows:
+    for index, value, k, family, parameter in rows:
         if fmt == "bfile":
             yield f"{index} {value}"
             continue
-        family = descriptor.family_id if descriptor else None
-        bits = render_bits(descriptor, k // 2) if family else format(int(index), "b")
+        bits = family.bits(k // 2, parameter) if family else format(int(index), "b")
         if family and convention == "S":
             bits = bits[:-1] + "0"  # every pattern ends in 1
+        family_id = family and family.family_id
         if fmt == "plain":
-            yield f"{index} {bits} {value}" + (f" {family}" if family else "")
+            yield f"{index} {bits} {value}" + (f" {family_id}" if family else "")
         elif fmt == "csv":
-            yield f"{index},{bits},{value},{k},{family or ''}"
+            yield f"{index},{bits},{value},{k},{family_id or ''}"
         else:
             doc = f'"index": "{index}", "bits": "{bits}", "value": "{value}", "k": {k}'
-            yield f'{{{doc}, "family": "{family}"}}' if family else f"{{{doc}}}"
+            yield f'{{{doc}, "family": "{family_id}"}}' if family else f"{{{doc}}}"
 
 
 def parse_bfile(text: str) -> list[tuple[int, int]]:
@@ -109,15 +110,17 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
 
 
 def _scanned(k: int, convention: str, exact_bits: bool):
-    """The scanned rows, each given the descriptor of its "A" index."""
+    """The scanned rows, each given the family and parameter of its "A" index."""
     records = records_in_bitlength(k, convention) if exact_bits else records_scan(k, convention)
     shift = 1 if convention == "S" else 0
-    descriptors = {
-        entry.index - shift: entry.descriptor
+    patterns = {
+        index - shift: (family, parameter)
         for kk in range(max(CLOSED_FORM_MIN_BITS, k if exact_bits else 1), k + 1)
-        for entry in generate_kbit(kk)
+        for index, _, family, parameter in kbit_rows(kk)
     }
-    return ((r.index, r.value, r.bit_length, descriptors.get(r.index)) for r in records)
+    return (
+        (r.index, r.value, r.bit_length, *patterns.get(r.index, (None, None))) for r in records
+    )
 
 
 def _closed_form(k: int, convention: str, exact_bits: bool):
@@ -128,11 +131,12 @@ def _closed_form(k: int, convention: str, exact_bits: bool):
     exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=traps)
     shift = 1 if convention == "S" else 0
     with decimal.localcontext(exact):
-        for kk in (k,) if exact_bits else range(1, k + 1):
-            for index, value, descriptor in kbit_rows(kk, decimal.Decimal(1)):
+        k_values = (k,) if exact_bits else range(1, k + 1)
+        for kk, rows in kbit_listing(k_values, decimal.Decimal(1)):
+            for index, value, family, parameter in rows:
                 index -= shift
                 if index or not exact_bits:  # the 1-bit record maps to s-index 0
-                    yield index, value, kk if index else 0, descriptor
+                    yield index, value, kk if index else 0, family, parameter
 
 
 # ----------------------------- subcommands -----------------------------
@@ -246,6 +250,8 @@ def cmd_verify(args) -> int:
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
         raise UsageError(f"unknown suites {unknown}; pick from {','.join(SUITES)}")
+    if any(suite in SCANNING_SUITES for suite in suites):
+        check_scan_budget(hi)  # before any suite prints its result
     any_failed = False
     for suite in suites:
         report = SUITES[suite](lo, hi)

@@ -15,15 +15,23 @@ and five for odd bit lengths ``k = 2n+1``::
     O4:  (10)^(a+1) 0 (10)^(n-2-a) 11     0 <= a <= n-2
     O5:  (10)^n 1
 
-giving ``floor(3k/4) - (-1)^k`` record-setters per bit length.  Each
-family also has an explicit index (a geometric sum over a powers-of-two
-table, exact division by 3) and an explicit Stern value built from
-Fibonacci and Lucas products; below 12 bits the record-setters are
-irregular and ship as frozen data (:mod:`sternseq.tables`).
+giving ``floor(3k/4) - (-1)^k`` record-setters per bit length; below 12
+bits the record-setters are irregular and ship as frozen data
+(:mod:`sternseq.tables`).  One table, ``_FAMILIES``, holds each family's
+parameter range, its index (a geometric sum over a powers-of-two table,
+exact division by 3), its Stern value (Fibonacci and Lucas products) and
+its bit pattern.  The index and value bodies run unchanged on ``int`` and
+on exact ``decimal.Decimal`` tables, and every public function reads the
+same table.
 
-:func:`kbit_rows` yields one bit length's rows as it makes them, in
-``int`` or in exact ``decimal.Decimal``, so ``sternseq records`` never
-converts an index from binary to decimal text.  :func:`generate_kbit`
+Within a bit length the families' indices follow each other in the order
+listed above, and each grows with its parameter, so a row is the runs of
+its families one after another.  :func:`kbit_rows` yields those runs, one
+family at a time, and checks that every index exceeds the last and has
+``k`` bits.  :func:`kbit_listing` yields the rows of many bit lengths from
+one pair of tables built for the longest; ``sternseq records`` asks for
+them in exact decimal, so it never converts an index from binary to
+decimal text.  :func:`generate_kbit`
 lists the int rows as :class:`~sternseq.records.RecordSetter` records.
 :func:`cross_validate` checks a range of bit lengths against one
 brute-force scan, and each index formula against its rendered bits.
@@ -31,10 +39,8 @@ brute-force scan, and each index formula against its rendered bits.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from typing import Callable, NamedTuple
 
 from .core import stern_a
 from .fibonacci import fib_lucas_table
@@ -49,13 +55,14 @@ __all__ = [
     "cross_validate",
     "family_descriptors",
     "generate_kbit",
+    "kbit_listing",
     "kbit_rows",
     "render_bits",
 ]
 
 CLOSED_FORM_MIN_BITS = SMALL_BITLENGTH_MAX + 1
 
-EVEN_FAMILIES = ("E1", "E2", "E3")
+EVEN_FAMILIES = ("E1", "E2", "E3")  # in index order
 ODD_FAMILIES = ("O1", "O2", "O3", "O4", "O5")
 
 
@@ -73,30 +80,101 @@ class FamilyDescriptor:
             raise ValueError(f"unknown family {self.parity}/{self.family_id}")
 
 
-def _parameter_range(family_id: str, n: int) -> range | None:
-    if family_id == "E1":
-        return range(0, n - 2)
-    if family_id == "E2":
-        return range(1, n // 2 + 1)
-    if family_id == "O3":
-        return range(1, (n + 1) // 2)
-    if family_id == "O4":
-        return range(0, n - 1)
-    return None  # E3, O1, O2, O5 take no parameter
+def _exact_third(numerator):
+    q, r = divmod(numerator, 3)
+    if r:
+        raise ArithmeticError(f"{numerator} is not divisible by 3")
+    return q
 
 
-def _check_descriptor(descriptor: FamilyDescriptor, n: int) -> None:
-    param_range = _parameter_range(descriptor.family_id, n)
-    if param_range is None:
-        if descriptor.parameter is not None:
+class _Family(NamedTuple):
+    """One family's formulas over the half-length ``n`` and the parameter ``p``.
+
+    ``index`` reads powers of two ``P[i] = 2**i`` and ``value`` reads
+    Fibonacci numbers ``F`` and Lucas numbers ``L``, all at ``0..2n+2``.
+    """
+
+    family_id: str
+    params: Callable[[int], range | tuple[None]]  # the values of p for n
+    index: Callable  # (n, p, P) -> index
+    value: Callable  # (n, p, F, L) -> Stern value
+    bits: Callable[[int, int | None], str]  # (n, p) -> binary pattern
+    min_n: int = 0  # smallest n at which ``value`` reads no negative table index
+
+
+_FAMILIES = {family.family_id: family for family in (
+    _Family(
+        "E1", lambda n: range(0, n - 2),
+        lambda n, p, P: P[2 * n - 1] + _exact_third(P[2 * n - 2] - P[2 * n - 2 * p - 3] + 1),
+        lambda n, p, F, L: (
+            L[2 * p + 3] * F[2 * n - 2 * p - 3] + L[2 * p + 1] * F[2 * n - 2 * p - 4]
+        ),
+        lambda n, p: "100" + "10" * p + "0" + "10" * (n - 3 - p) + "11",
+    ),
+    _Family(
+        "E2", lambda n: range(1, n // 2 + 1),
+        lambda n, p, P: _exact_third(P[2 * n + 1] - P[2 * n - 2 * p] - 1),
+        lambda n, p, F, L: F[2 * p + 2] * F[2 * n - 2 * p] + F[2 * p] * F[2 * n - 2 * p - 1],
+        lambda n, p: "10" * p + "0" + "10" * (n - p - 1) + "1",
+    ),
+    _Family(
+        "E3", lambda n: (None,),
+        lambda n, p, P: _exact_third(P[2 * n + 1] + 1),
+        lambda n, p, F, L: F[2 * n + 1],
+        lambda n, p: "10" * (n - 1) + "11",
+    ),
+    _Family(
+        "O1", lambda n: (None,),
+        lambda n, p, P: P[2 * n] + _exact_third(P[2 * n - 2] - 1),
+        lambda n, p, F, L: F[2 * n + 1] + F[2 * n - 4],
+        lambda n, p: "1000" + "10" * (n - 2) + "1",
+        min_n=2,
+    ),
+    _Family(
+        "O2", lambda n: (None,),
+        lambda n, p, P: P[2 * n] + P[2 * n - 3] + _exact_third(P[2 * n - 4] - 7),
+        lambda n, p, F, L: F[2 * n + 1] + 8 * F[2 * n - 8],
+        lambda n, p: "100100" + "10" * (n - 4) + "011",
+        min_n=4,
+    ),
+    _Family(
+        "O3", lambda n: range(1, (n + 1) // 2),
+        lambda n, p, P: P[2 * n] + _exact_third(P[2 * n - 1] - P[2 * n - 2 * p - 2] - 1),
+        lambda n, p, F, L: (
+            L[2 * p + 3] * F[2 * n - 2 * p - 2] + L[2 * p + 1] * F[2 * n - 2 * p - 3]
+        ),
+        lambda n, p: "100" + "10" * p + "0" + "10" * (n - 2 - p) + "1",
+    ),
+    _Family(
+        "O4", lambda n: range(0, n - 1),
+        lambda n, p, P: _exact_third(P[2 * n + 2] - P[2 * n - 2 * p - 1] + 1),
+        lambda n, p, F, L: (
+            F[2 * p + 4] * F[2 * n - 2 * p - 1] + F[2 * p + 2] * F[2 * n - 2 * p - 2]
+        ),
+        lambda n, p: "10" * (p + 1) + "0" + "10" * (n - 2 - p) + "11",
+    ),
+    _Family(
+        "O5", lambda n: (None,),
+        lambda n, p, P: _exact_third(P[2 * n + 2] - 1),
+        lambda n, p, F, L: F[2 * n + 2],
+        lambda n, p: "10" * n + "1",
+    ),
+)}
+
+
+def _check_descriptor(descriptor: FamilyDescriptor, n: int) -> _Family:
+    """The table entry of ``descriptor``, once its parameter is checked against ``n``."""
+    family = _FAMILIES[descriptor.family_id]
+    param_range = family.params(n)
+    if descriptor.parameter not in param_range:
+        if param_range == (None,):
             raise ValueError(f"{descriptor.family_id} takes no parameter")
-        return
-    if descriptor.parameter is None or descriptor.parameter not in param_range:
         raise ValueError(
             f"{descriptor.family_id} parameter must lie in "
             f"[{param_range.start}, {param_range.stop - 1}] for n={n}, "
             f"got {descriptor.parameter}"
         )
+    return family
 
 
 def render_bits(descriptor: FamilyDescriptor, n: int) -> str:
@@ -105,33 +183,7 @@ def render_bits(descriptor: FamilyDescriptor, n: int) -> str:
     ``n`` is the half-length: the result has ``2n`` bits for even
     families and ``2n + 1`` bits for odd ones.
     """
-    _check_descriptor(descriptor, n)
-    p = descriptor.parameter
-    match descriptor.family_id:
-        case "E1":
-            return "100" + "10" * p + "0" + "10" * (n - 3 - p) + "11"
-        case "E2":
-            return "10" * p + "0" + "10" * (n - p - 1) + "1"
-        case "E3":
-            return "10" * (n - 1) + "11"
-        case "O1":
-            return "1000" + "10" * (n - 2) + "1"
-        case "O2":
-            return "100100" + "10" * (n - 4) + "011"
-        case "O3":
-            return "100" + "10" * p + "0" + "10" * (n - 2 - p) + "1"
-        case "O4":
-            return "10" * (p + 1) + "0" + "10" * (n - 2 - p) + "11"
-        case "O5":
-            return "10" * n + "1"
-    raise AssertionError
-
-
-def _exact_third(numerator: int) -> int:
-    q, r = divmod(numerator, 3)
-    if r:
-        raise ArithmeticError(f"{numerator} is not divisible by 3")
-    return q
+    return _check_descriptor(descriptor, n).bits(n, descriptor.parameter)
 
 
 class _Table:
@@ -147,86 +199,35 @@ class _Table:
 _POWERS_OF_TWO = _Table((1).__lshift__)  # P[i] == 1 << i in int arithmetic
 
 
-def _index(descriptor: FamilyDescriptor, n: int, P):
-    """Geometric-sum index of one family, read from a powers-of-two table covering ``0..2n+2``."""
-    p = descriptor.parameter
-    match descriptor.family_id:
-        case "E1":
-            return P[2 * n - 1] + _exact_third(P[2 * n - 2] - P[2 * n - 2 * p - 3] + 1)
-        case "E2":
-            return _exact_third(P[2 * n + 1] - P[2 * n - 2 * p] - 1)
-        case "E3":
-            return _exact_third(P[2 * n + 1] + 1)
-        case "O1":
-            return P[2 * n] + _exact_third(P[2 * n - 2] - 1)
-        case "O2":
-            return P[2 * n] + P[2 * n - 3] + _exact_third(P[2 * n - 4] - 7)
-        case "O3":
-            return P[2 * n] + _exact_third(P[2 * n - 1] - P[2 * n - 2 * p - 2] - 1)
-        case "O4":
-            return _exact_third(P[2 * n + 2] - P[2 * n - 2 * p - 1] + 1)
-        case "O5":
-            return _exact_third(P[2 * n + 2] - 1)
-    raise AssertionError
-
-
 def closed_form_index(descriptor: FamilyDescriptor, n: int) -> int:
     """Integer index of the record-setter, by geometric-sum closed form."""
-    _check_descriptor(descriptor, n)
-    return _index(descriptor, n, _POWERS_OF_TWO)
-
-
-# Smallest half-length at which a parameterless family's Fibonacci
-# indices are all non-negative (the others need only n >= 0).
-_MIN_HALF_LENGTH = {"O1": 2, "O2": 4}
-
-
-def _stern_value(descriptor: FamilyDescriptor, n: int, F: list[int], L: list[int]) -> int:
-    """Fibonacci/Lucas product of one family, read from tables covering ``0..2n+2``."""
-    p = descriptor.parameter
-    match descriptor.family_id:
-        case "E1":
-            return L[2 * p + 3] * F[2 * n - 2 * p - 3] + L[2 * p + 1] * F[2 * n - 2 * p - 4]
-        case "E2":
-            return F[2 * p + 2] * F[2 * n - 2 * p] + F[2 * p] * F[2 * n - 2 * p - 1]
-        case "E3":
-            return F[2 * n + 1]
-        case "O1":
-            return F[2 * n + 1] + F[2 * n - 4]
-        case "O2":
-            return F[2 * n + 1] + 8 * F[2 * n - 8]
-        case "O3":
-            return L[2 * p + 3] * F[2 * n - 2 * p - 2] + L[2 * p + 1] * F[2 * n - 2 * p - 3]
-        case "O4":
-            return F[2 * p + 4] * F[2 * n - 2 * p - 1] + F[2 * p + 2] * F[2 * n - 2 * p - 2]
-        case "O5":
-            return F[2 * n + 2]
-    raise AssertionError
+    family = _check_descriptor(descriptor, n)
+    return family.index(n, descriptor.parameter, _POWERS_OF_TWO)
 
 
 def closed_form_stern_value(descriptor: FamilyDescriptor, n: int) -> int:
     """Stern value of the record-setter, as a Fibonacci/Lucas product."""
-    _check_descriptor(descriptor, n)
-    if n < _MIN_HALF_LENGTH.get(descriptor.family_id, 0):
+    family = _check_descriptor(descriptor, n)
+    if n < family.min_n:
         raise ValueError(f"{descriptor.family_id} has no closed-form value for n={n}")
-    return _stern_value(descriptor, n, *fib_lucas_table(2 * n + 2))
+    return family.value(n, descriptor.parameter, *fib_lucas_table(2 * n + 2))
+
+
+def _families(k: int) -> list[_Family]:
+    """The table entries of bit length ``k``, in index order."""
+    return [_FAMILIES[family_id] for family_id in (ODD_FAMILIES if k % 2 else EVEN_FAMILIES)]
 
 
 def family_descriptors(k: int) -> list[FamilyDescriptor]:
     """All family descriptors for bit length ``k >= 12``."""
     if k < CLOSED_FORM_MIN_BITS:
         raise ValueError(f"closed forms start at {CLOSED_FORM_MIN_BITS} bits, got {k}")
-    n = k // 2
-    parity = "even" if k % 2 == 0 else "odd"
-    families = EVEN_FAMILIES if parity == "even" else ODD_FAMILIES
-    out = []
-    for family_id in families:
-        param_range = _parameter_range(family_id, n)
-        if param_range is None:
-            out.append(FamilyDescriptor(parity, family_id))
-        else:
-            out.extend(FamilyDescriptor(parity, family_id, p) for p in param_range)
-    return out
+    n, parity = k // 2, "odd" if k % 2 else "even"
+    return [
+        FamilyDescriptor(parity, family.family_id, p)
+        for family in _families(k)
+        for p in family.params(n)
+    ]
 
 
 def count_kbit(k: int) -> int:
@@ -238,45 +239,82 @@ def count_kbit(k: int) -> int:
     return (3 * k) // 4 - (-1) ** k
 
 
-def kbit_rows(k: int, one=1):
-    """Yield ``(index, value, descriptor)`` of each ``k``-bit record-setter, in index order.
+def _tables(k_max: int, one):
+    """Tables ``P[i] = 2**i`` and ``F[i] = F(i)`` for ``i <= 2 * (k_max // 2) + 2``.
 
-    Numbers have the type of ``one``: ``int``, or ``decimal.Decimal`` in an exact context.
-    Below 12 bits they come from the frozen table, without descriptor; from 12 bits on each
-    row is made as it is yielded and checked to exceed the last and lie in ``[P[k-1], P[k])``.
+    Entries have the type of ``one``.  Lucas numbers are read from ``F``,
+    ``L[i] = F[i-1] + F[i+1]``, and not stored.
     """
+    m = 2 * (k_max // 2) + 2
+    P, F = [one], [0 * one, one]
+    for _ in range(m):
+        P.append(P[-1] + P[-1])
+    for _ in range(m - 1):
+        F.append(F[-1] + F[-2])
+    return P, F, _Table(lambda i: F[i - 1] + F[i + 1])
+
+
+def _rows(k: int, one, P, F, L):
+    """The rows of :func:`kbit_rows`, read from tables that cover bit length ``k``."""
     if k < 1:
         raise ValueError("bit length must be >= 1")
     if k <= SMALL_BITLENGTH_MAX:
         for index in sorted(int(bits, 2) for bits in SMALL_BITLENGTH_RECORDS[k]):
-            yield one * index, one * stern_a(index), None
+            yield one * index, one * stern_a(index), None, None
         return
     n = k // 2
-    descriptors = family_descriptors(k)
-    if len(descriptors) != count_kbit(k):
-        raise RuntimeError(f"family instantiation for k={k} gives {len(descriptors)} rows")
-    P, F = [one], [0 * one, one]
-    for _ in range(2 * n + 2):
-        P.append(P[-1] + P[-1])
-        F.append(F[-1] + F[-2])
-    L = _Table(lambda i: F[i - 1] + F[i + 1])  # Lucas numbers, not stored
-    # Each family's index grows with its parameter (checked below), so merging the families'
-    # runs gives index order.  groupby empties a group once it moves on: take list(run) now.
-    runs = [
-        ((_index(d, n, P), d) for d in list(run))
-        for _, run in itertools.groupby(descriptors, key=attrgetter("family_id"))
-    ]
-    previous = P[k - 1] - 1
-    for index, descriptor in heapq.merge(*runs, key=itemgetter(0)):
-        if not previous < index < P[k]:
-            raise RuntimeError(f"family instantiation for k={k} is out of order or outside k bits")
-        previous = index
-        yield index, _stern_value(descriptor, n, F, L), descriptor
+    runs = [(family, family.params(n)) for family in _families(k)]
+    count = sum(len(params) for _, params in runs)
+    if count != count_kbit(k):
+        raise RuntimeError(f"family instantiation for k={k} gives {count} rows")
+    previous, top = P[k - 1] - 1, P[k]
+    for family, params in runs:
+        index_of, value_of = family.index, family.value
+        for p in params:
+            index = index_of(n, p, P)
+            if not previous < index < top:
+                raise RuntimeError(
+                    f"family instantiation for k={k} is out of order or outside k bits"
+                )
+            previous = index
+            yield index, value_of(n, p, F, L), family, p
+
+
+def kbit_listing(k_values, one=1):
+    """Yield ``(k, rows)`` for each ``k`` in the sequence ``k_values``, as :func:`kbit_rows` would.
+
+    The tables are built once, when the first row is asked for, for the
+    largest ``k``; every bit length reads a prefix of them.
+    """
+    tables = _tables(max(k_values), one)
+    for k in k_values:
+        yield k, _rows(k, one, *tables)
+
+
+def kbit_rows(k: int, one=1):
+    """Yield ``(index, value, family, parameter)`` of each ``k``-bit record-setter, in index order.
+
+    Numbers have the type of ``one``: ``int``, or ``decimal.Decimal`` in an
+    exact context.  Below 12 bits they come from the frozen table, and
+    ``family`` and ``parameter`` are ``None``.  From 12 bits on, ``family``
+    is the family's table entry (``family.family_id`` names it and
+    ``family.bits(k // 2, parameter)`` is the row's binary pattern), and
+    the rows are made family by family, over each family's parameter
+    range, as they are yielded.  The row count is checked against
+    :func:`count_kbit`, and each index must exceed the last and lie in
+    ``[P[k-1], P[k])``; either failure raises ``RuntimeError``.
+    """
+    for _, rows in kbit_listing((k,), one):
+        yield from rows
 
 
 def generate_kbit(k: int) -> list[RecordSetter]:
     """All ``k``-bit record-setters in index order: the int rows of :func:`kbit_rows`."""
-    return [RecordSetter(i, value, descriptor=d) for i, value, d in kbit_rows(k)]
+    parity = "odd" if k % 2 else "even"
+    return [
+        RecordSetter(i, value, descriptor=family and FamilyDescriptor(parity, family.family_id, p))
+        for i, value, family, p in kbit_rows(k)
+    ]
 
 
 def cross_validate(lo: int, hi: int) -> AuditReport:

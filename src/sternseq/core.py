@@ -131,7 +131,8 @@ def _cell_dtype(bits: int) -> np.dtype:
         return np.dtype(object)
     dtype = np.dtype(np.uint32 if bits <= _WIDTH_32_MAX_BITS else np.uint64)
     # Checked promotion: the Lucas bound F(bits+1) must fit the cells.
-    assert fib(bits + 1) <= int(np.iinfo(dtype).max)
+    if fib(bits + 1) > int(np.iinfo(dtype).max):
+        raise OverflowError(f"values of {bits}-bit indices may not fit {dtype} cells")
     return dtype
 
 

@@ -38,6 +38,7 @@ __all__ = [
     "DominanceWitness",
     "RecordSetter",
     "audit_substring_properties",
+    "check_scan_budget",
     "records_in_bitlength",
     "records_scan",
     "verify_dominance_witnesses",
@@ -109,6 +110,11 @@ def _records_scan_cached(k_max: int) -> tuple[RecordSetter, ...]:
     return tuple(records)
 
 
+def check_scan_budget(k_max: int) -> None:
+    """Raise ``BudgetExceededError`` if a scan below ``2**k_max`` exceeds the ceiling."""
+    check_bits_budget(k_max, f"scan of all indices below 2**{k_max}")
+
+
 def records_scan(k_max: int, convention: Convention = "A") -> list[RecordSetter]:
     """All record-setters with index below ``2**k_max``, in index order.
 
@@ -122,7 +128,7 @@ def records_scan(k_max: int, convention: Convention = "A") -> list[RecordSetter]
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     convention = _validate_convention(convention)
-    check_bits_budget(k_max, f"scan of all indices below 2**{k_max}")
+    check_scan_budget(k_max)
     scan = _records_scan_cached(k_max)
     if convention == "A":
         return list(scan)

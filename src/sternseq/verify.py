@@ -34,7 +34,7 @@ from .tables import (
     SMALL_BITLENGTH_RECORDS,
 )
 
-__all__ = ["SUITES"]
+__all__ = ["SCANNING_SUITES", "SUITES"]
 
 IDENTITY_SAMPLES = 10_000
 IDENTITY_SEED = 20220926
@@ -111,3 +111,6 @@ SUITES = {
     "extremal": lambda lo, hi: verify_extremal_lemmas(8),
     "crossval": lambda lo, hi: cross_validate(lo, hi),
 }
+
+#: The suites that scan every index below ``2**hi``.
+SCANNING_SUITES = ("substrings", "crossval")

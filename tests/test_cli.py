@@ -24,6 +24,7 @@ from sternseq import (
     render_bits,
     stern_a,
 )
+from sternseq import closedform
 from sternseq.budget import MAX_BITS_ENV_VAR
 from sternseq.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, FORMATS, main, parse_bfile
 from sternseq.tables import FIRST_RECORDS, SMALL_BITLENGTH_RECORDS
@@ -196,18 +197,18 @@ class TestRecords:
             *cli._scanned(13, convention, True),
             *cli._closed_form(14, convention, False),  # decimal from 12 bits on
         ]
-        assert {descriptor is None for *_, descriptor in rows} == {True, False}
+        assert {family is None for _, _, _, family, _ in rows} == {True, False}
         lines = list(cli.format_records(rows, "jsonlines", convention))
         assert len(lines) == len(rows)
-        for (index, value, _, descriptor), line in zip(rows, lines):
+        for (index, value, _, family, _), line in zip(rows, lines):
             doc = {
                 "index": str(index),
                 "bits": format(int(index), "b"),
                 "value": str(value),
                 "k": int(index).bit_length(),
             }
-            if descriptor is not None:
-                doc["family"] = descriptor.family_id
+            if family is not None:
+                doc["family"] = family.family_id
             assert line == json.dumps(doc)
 
     def test_requires_a_range_option(self, capsys):
@@ -274,8 +275,9 @@ class TestPlot:
 
 
 #: sha256 of outputs taken before plot streamed in windows, jsonlines
-#: stopped going through json.dumps and closed-form listings were built in
-#: decimal; the output must stay byte-identical.
+#: stopped going through json.dumps, closed-form listings were built in
+#: decimal and closed-form rows were made family by family; the output
+#: must stay byte-identical.
 PINNED_OUTPUT_SHA256 = {
     "plot --max 200000": "6940b269485e3af37bb2e107dfdd9fdde1dc99f9a36846dbf6e33d378caee6c6",
     "plot --max 200000 --format plain": (
@@ -289,6 +291,30 @@ PINNED_OUTPUT_SHA256 = {
     ),
     "records --bits 6000 --source closed-form --format bfile": (
         "2b20ad69ee474f229d4dd3bfc131df70ebd77e4ef15087580f3d6fb5851fd4f2"
+    ),
+    "records --max-bits 200 --source closed-form --format plain --convention A": (
+        "5cb9e9ab9f6a4a0bed0e12c7b9c64a3d9f8a0ccff52434217ab33774e76bb641"
+    ),
+    "records --max-bits 200 --source closed-form --format plain --convention S": (
+        "db6c9f07994b9696e1eac18000ad39a2bae50b0ad934ca409ec9febad5adda0b"
+    ),
+    "records --max-bits 200 --source closed-form --format csv --convention A": (
+        "f3c131f8271ca18bceb7bf70106ae186ba7b53ea8d9adacea5bf860b89d9dedf"
+    ),
+    "records --max-bits 200 --source closed-form --format csv --convention S": (
+        "aaa2d0633d5ded9d56275f29fec4b456ec8d1f4c56e1c4d4d0a893feaf3cbd52"
+    ),
+    "records --max-bits 200 --source closed-form --format jsonlines --convention A": (
+        "76aa38e68ddb13c8f48b47b5613eb41328172480bf90a819e480c91a6d7907bd"
+    ),
+    "records --max-bits 200 --source closed-form --format jsonlines --convention S": (
+        "b49320c6893afcb60de8229a6a8ae7b0a798d6fa0f792cbeba5829a85141acfc"
+    ),
+    "records --max-bits 200 --source closed-form --format bfile --convention A": (
+        "a6c707ef31b79777f99b7d16ac85d50ae4aa3ead5d7ec4377b1f27e940137d57"
+    ),
+    "records --max-bits 200 --source closed-form --format bfile --convention S": (
+        "beda37cc6d9d37ec943b8b1960d2a9c9bde502e80368f6c4167c48a596b36104"
     ),
 }
 
@@ -393,6 +419,22 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--k-range", "1..12", "--suites", "crossval")
         assert code == EXIT_BUDGET
 
+    def test_ceiling_checked_before_any_suite(self, monkeypatch):
+        monkeypatch.delenv(MAX_BITS_ENV_VAR, raising=False)
+        argv = ["verify", "--k-range", "1..30"]
+        proc = _spawn(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out) == (EXIT_BUDGET, b"")
+        assert err.decode().splitlines() == [
+            "error: scan of all indices below 2**30 needs indices up to 30 bits, exceeding the "
+            f"ceiling of 24 bits (override with {MAX_BITS_ENV_VAR})"
+        ]
+
+    def test_suites_without_scan_ignore_the_ceiling(self, capsys):
+        code, out, _ = run(capsys, "verify", "--k-range", "1..30", "--suites", "tables,identities")
+        assert code == EXIT_OK
+        assert [line.split()[:2] for line in out] == [["tables", "PASS"], ["identities", "PASS"]]
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         # Corrupt the reference data to confirm failures surface as exit 1.
         monkeypatch.setattr("sternseq.verify.INITIAL_VALUES", (9,) * 16)
@@ -440,13 +482,14 @@ class TestParseBfile:
 class TestBeyondIntStrLimit:
     """The 14,300-bit row ends in the E3 record-setter, whose index has 4,305 decimal digits."""
 
+    E3 = FamilyDescriptor("even", "E3")
+
     @pytest.fixture(scope="class")
     def e3_row(self):
         # Decimal(int) converts exactly, without going through decimal text.
-        descriptor = FamilyDescriptor("even", "E3")
-        index = Decimal(closed_form_index(descriptor, 7150))
-        value = Decimal(closed_form_stern_value(descriptor, 7150))
-        return index, value, 14300, descriptor
+        index = Decimal(closed_form_index(self.E3, 7150))
+        value = Decimal(closed_form_stern_value(self.E3, 7150))
+        return index, value, 14300, closedform._FAMILIES["E3"], None
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_format_records_restores_limit(self, e3_row, fmt):
@@ -458,17 +501,18 @@ class TestBeyondIntStrLimit:
         assert len(digits) == 4305 and digits in text
         assert str(e3_row[1]) in text
         if fmt != "bfile":
-            assert render_bits(e3_row[3], 7150) in text
+            assert render_bits(self.E3, 7150) in text
         # Outside input is still parsed under the default guard.
         with pytest.raises(ValueError):
             parse_bfile(f"{digits} 1")
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_records_command_exits_zero(self, capsys, monkeypatch, e3_row, fmt):
-        index, value, _, descriptor = e3_row
+        index, value, _, family, _ = e3_row
         if fmt != "bfile":
             # Each of the 10,724 lines would also carry 14,300 bits: write the last row only.
-            monkeypatch.setattr(cli, "kbit_rows", lambda k, one: iter([(index, value, descriptor)]))
+            last_row = (14300, iter([(index, value, family, None)]))
+            monkeypatch.setattr(cli, "kbit_listing", lambda ks, one: iter([last_row]))
         limit = sys.get_int_max_str_digits()
         code, out, err = run(
             capsys, "records", "--bits", "14300", "--source", "closed-form", "--format", fmt
@@ -477,7 +521,7 @@ class TestBeyondIntStrLimit:
         assert sys.get_int_max_str_digits() == limit
         if fmt != "bfile":
             assert len(out) == (2 if fmt == "csv" else 1)
-            for text in (str(index), str(value), render_bits(descriptor, 7150)):
+            for text in (str(index), str(value), render_bits(self.E3, 7150)):
                 assert text in out[-1]
             return
         assert len(out) == count_kbit(14300) == 10724
@@ -490,13 +534,19 @@ class TestBeyondIntStrLimit:
             parse_bfile(out[-1])
 
 
+def _family_and_parameter(descriptor):
+    if descriptor is None:
+        return None, None
+    return closedform._FAMILIES[descriptor.family_id], descriptor.parameter
+
+
 @pytest.mark.parametrize("convention", ["A", "S"])
 def test_decimal_rows_equal_generate_kbit(convention):
     shift = 1 if convention == "S" else 0
     for k in [*range(1, 201), 511, 512, 999, 1000]:
         rows = list(cli._closed_form(k, convention, True))
         expected = [
-            (e.index - shift, e.value, k, e.descriptor)
+            (e.index - shift, e.value, k, *_family_and_parameter(e.descriptor))
             for e in generate_kbit(k)
             if e.index - shift  # the 1-bit record maps to s-index 0
         ]

@@ -203,24 +203,31 @@ class TestGenerateKbit:
     @pytest.mark.parametrize("one", [1, Decimal(1)], ids=["int", "Decimal"])
     def test_row_checks_hold_for_both_number_types(self, monkeypatch, one):
         # E3, the last 12-bit row, pushed past 2**12 by a corrupted index body.
-        index = closedform._index
-        monkeypatch.setattr(
-            closedform,
-            "_index",
-            lambda d, n, P: index(d, n, P) + (P[2 * n] if d.family_id == "E3" else 0),
-        )
+        e3 = closedform._FAMILIES["E3"]
+        corrupted = e3._replace(index=lambda n, p, P: e3.index(n, p, P) + P[2 * n])
+        monkeypatch.setitem(closedform._FAMILIES, "E3", corrupted)
         rows = kbit_rows(12, one)
-        assert [i for i, _, _ in itertools.islice(rows, 7)][-1] == 2709
+        assert [i for i, _, _, _ in itertools.islice(rows, 7)][-1] == 2709
         with pytest.raises(RuntimeError, match="out of order or outside k bits"):
             next(rows)
 
     def test_family_run_out_of_parameter_order_fails(self, monkeypatch):
-        # Rows merge one run per family, each in parameter order; a run
-        # whose index falls is caught, not merged out of order.
-        descriptors = closedform.family_descriptors
-        monkeypatch.setattr(closedform, "family_descriptors", lambda k: descriptors(k)[::-1])
-        with pytest.raises(RuntimeError, match="out of order or outside k bits"):
-            list(kbit_rows(14))
+        # A row is one run per family, each in parameter order; a run
+        # whose index falls is caught, not written out of order.
+        e1 = closedform._FAMILIES["E1"]
+        reversed_run = e1._replace(params=lambda n: e1.params(n)[::-1])
+        monkeypatch.setitem(closedform._FAMILIES, "E1", reversed_run)
+        for one in (1, Decimal(1)):
+            with pytest.raises(RuntimeError, match="out of order or outside k bits"):
+                list(kbit_rows(14, one))
+
+    def test_row_bits_equal_render_bits(self):
+        # The rows carry no checked descriptor: their bits must still be
+        # the rendered pattern of generate_kbit's descriptor, and the index.
+        for k in range(12, 301):
+            n = k // 2
+            for (index, _, family, p), entry in zip(kbit_rows(k), generate_kbit(k), strict=True):
+                assert family.bits(n, p) == render_bits(entry.descriptor, n) == format(index, "b")
 
     @pytest.mark.parametrize("k, expected", [(12, 8), (13, 10), (7, 5), (1, 1), (11, 8)])
     def test_count_kbit(self, k, expected):
@@ -251,10 +258,9 @@ class TestCrossValidation:
 
     def test_corrupted_index_formula_fails(self, monkeypatch):
         # O5 two above its rendering: still the last 13- and 15-bit row.
-        index = closedform._index
-        monkeypatch.setattr(
-            closedform, "_index", lambda d, n, P: index(d, n, P) + 2 * (d.family_id == "O5")
-        )
+        o5 = closedform._FAMILIES["O5"]
+        corrupted = o5._replace(index=lambda n, p, P: o5.index(n, p, P) + 2)
+        monkeypatch.setitem(closedform._FAMILIES, "O5", corrupted)
         report = cross_validate(12, 16)
         assert not report.ok
         assert (5461, "O5(None) formula gives 5463") in report.violations

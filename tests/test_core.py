@@ -152,6 +152,17 @@ class TestSternRow:
         assert fib(46) <= np.iinfo(np.uint32).max
         assert fib(92) <= np.iinfo(np.uint64).max
 
+    @pytest.mark.parametrize("bits", [45, 91])
+    def test_cell_width_check_raises(self, monkeypatch, bits):
+        # An explicit check, not an assert, so that python -O keeps it.
+        from sternseq import core
+
+        monkeypatch.setattr(core, "fib", lambda n: 1 << 64)
+        with pytest.raises(OverflowError, match=f"values of {bits}-bit indices"):
+            core._cell_dtype(bits)
+        with pytest.raises(OverflowError):
+            stern_range(0, 100)
+
     def test_object_dtype_path(self):
         # Arbitrary-precision cells remain exact.
         assert stern_range(0, 64, object).tolist() == [stern_a(n) for n in range(64)]
