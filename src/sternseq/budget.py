@@ -5,7 +5,7 @@ bit length: indices below 2**ceiling are allowed, anything larger
 raises :class:`BudgetExceededError`.  Both run in fixed-size chunks,
 so the ceiling bounds the work (the indices scanned), not the memory:
 a full scan at the default of 24 bits (``verify --k-range 12..24``)
-peaks at 72.6 MiB of resident memory, and neither peak grows with the
+peaks at 46.2 MiB of resident memory, and neither peak grows with the
 ceiling.  The ``STERNSEQ_MAX_BITS`` environment variable raises or
 lowers it.
 """

@@ -32,7 +32,7 @@ from .core import hyperbinary_count_dp, stern_a, stern_range, stern_s
 from .records import check_scan_budget, records_in_bitlength, records_scan
 from .strings import g_value
 from .tables import FIRST_RECORDS, SMALL_BITLENGTH_MAX
-from .verify import SCANNING_SUITES, SUITES
+from .verify import SCAN_BITS, SUITES
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -250,8 +250,9 @@ def cmd_verify(args) -> int:
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
         raise UsageError(f"unknown suites {unknown}; pick from {','.join(SUITES)}")
-    if any(suite in SCANNING_SUITES for suite in suites):
-        check_scan_budget(hi)  # before any suite prints its result
+    scan_bits = max(SCAN_BITS[suite](lo, hi) for suite in suites)
+    if scan_bits:
+        check_scan_budget(scan_bits)  # before any suite prints its result
     any_failed = False
     for suite in suites:
         report = SUITES[suite](lo, hi)

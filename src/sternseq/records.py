@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Literal
 
 from .budget import check_bits_budget
-from .core import stern_range
+from .core import _cell_dtype, stern_range
 from .fibonacci import fib
 from .strings import Comparator, dominates, g_value, mu_of
 
@@ -95,18 +95,21 @@ def _validate_convention(convention: str) -> Convention:
 def _records_scan_cached(k_max: int) -> tuple[RecordSetter, ...]:
     import numpy as np
 
-    records: list[RecordSetter] = []
-    prev = np.int64(-1)
+    records = [RecordSetter(0, 0)]
+    dtype = _cell_dtype(k_max)
+    top = 0  # the largest value before the chunk
     hi = 1 << k_max
-    for lo in range(0, hi, _SCAN_CHUNK):
-        vals = stern_range(lo, min(lo + _SCAN_CHUNK, hi), np.int64)
-        cummax = np.maximum.accumulate(vals)
-        before = np.empty_like(vals)
-        before[0] = prev
-        np.maximum(cummax[:-1], prev, out=before[1:])
-        for pos in np.flatnonzero(vals > before):
+    for lo in range(1, hi, _SCAN_CHUNK):
+        vals = stern_range(lo, min(lo + _SCAN_CHUNK, hi), dtype)
+        if vals.max() <= top:
+            continue
+        if vals[0] > top:
+            records.append(RecordSetter(lo, int(vals[0])))
+        running = np.maximum.accumulate(vals)
+        np.maximum(running, top, out=running)
+        for pos in np.flatnonzero(running[1:] > running[:-1]) + 1:
             records.append(RecordSetter(lo + int(pos), int(vals[pos])))
-        prev = max(prev, cummax[-1])
+        top = running[-1]
     return tuple(records)
 
 

@@ -34,10 +34,13 @@ from .tables import (
     SMALL_BITLENGTH_RECORDS,
 )
 
-__all__ = ["SCANNING_SUITES", "SUITES"]
+__all__ = ["SCAN_BITS", "SUITES"]
 
 IDENTITY_SAMPLES = 10_000
 IDENTITY_SEED = 20220926
+
+#: The scan below ``2**8`` holds the reference list of first record-setters.
+_FIRST_RECORDS_BITS = 8
 
 
 def _tables(lo: int, hi: int) -> AuditReport:
@@ -48,7 +51,8 @@ def _tables(lo: int, hi: int) -> AuditReport:
         if stern_a(n) != expected
     ]
     checked = len(INITIAL_VALUES) + len(FIRST_RECORDS)
-    scanned = [(r.index, r.value) for r in records_scan(8, "A")[: len(FIRST_RECORDS)]]
+    first = records_scan(_FIRST_RECORDS_BITS, "A")[: len(FIRST_RECORDS)]
+    scanned = [(r.index, r.value) for r in first]
     if scanned != list(FIRST_RECORDS):
         violations.append((0, "first record-setters do not match the reference list"))
     for k in range(lo, min(hi, SMALL_BITLENGTH_MAX) + 1):
@@ -62,8 +66,9 @@ def _tables(lo: int, hi: int) -> AuditReport:
 
 
 def _random_binary(rng: random.Random, max_len: int) -> str:
+    """A uniform binary string of ``0..max_len`` digits, leading zeros kept."""
     length = rng.randint(0, max_len)
-    return "".join(rng.choice("01") for _ in range(length))
+    return format(rng.getrandbits(length), f"0{length}b") if length else ""
 
 
 def _identities() -> AuditReport:
@@ -112,5 +117,14 @@ SUITES = {
     "crossval": lambda lo, hi: cross_validate(lo, hi),
 }
 
-#: The suites that scan every index below ``2**hi``.
-SCANNING_SUITES = ("substrings", "crossval")
+#: The largest scan each suite makes, as ``(lo, hi) -> k``: it visits every
+#: index below ``2**k``, or none when ``k`` is 0.
+SCAN_BITS = {
+    "tables": lambda lo, hi: max(
+        [_FIRST_RECORDS_BITS, *range(lo, min(hi, SMALL_BITLENGTH_MAX) + 1)]
+    ),
+    "identities": lambda lo, hi: 0,
+    "substrings": lambda lo, hi: hi,
+    "extremal": lambda lo, hi: 0,
+    "crossval": lambda lo, hi: hi,
+}

@@ -430,6 +430,27 @@ class TestVerify:
             f"ceiling of 24 bits (override with {MAX_BITS_ENV_VAR})"
         ]
 
+    def test_ceiling_covers_the_tables_scan(self, monkeypatch):
+        # tables scans below 2**8 whatever the range, so this run needs 8 bits.
+        monkeypatch.setenv(MAX_BITS_ENV_VAR, "5")
+        argv = ["verify", "--k-range", "1..5", "--suites", "identities,tables"]
+        proc = _spawn(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out) == (EXIT_BUDGET, b"")
+        assert err.decode().splitlines() == [
+            "error: scan of all indices below 2**8 needs indices up to 8 bits, exceeding the "
+            f"ceiling of 5 bits (override with {MAX_BITS_ENV_VAR})"
+        ]
+
+    @pytest.mark.parametrize(
+        "k_range, ceiling, code",
+        [("1..11", "11", EXIT_OK), ("1..11", "10", EXIT_BUDGET), ("12..30", "8", EXIT_OK)],
+    )
+    def test_tables_ceiling_is_its_largest_scan(self, capsys, monkeypatch, k_range, ceiling, code):
+        # Below 2**min(hi, 11) for the per-bit-length table, and only when lo <= 11.
+        monkeypatch.setenv(MAX_BITS_ENV_VAR, ceiling)
+        assert run(capsys, "verify", "--k-range", k_range, "--suites", "tables")[0] == code
+
     def test_suites_without_scan_ignore_the_ceiling(self, capsys):
         code, out, _ = run(capsys, "verify", "--k-range", "1..30", "--suites", "tables,identities")
         assert code == EXIT_OK

@@ -131,25 +131,65 @@ class TestRecordsInBitlength:
         shorter = [(r.index, r.value) for r in records_scan(10, "A")]
         assert longer[: len(shorter)] == shorter
 
-    @pytest.mark.parametrize("convention, shift", [("A", 0), ("S", 1)], ids=["A", "S"])
-    def test_chunk_boundaries_preserve_records(self, monkeypatch, convention, shift):
-        # Force tiny scan chunks so the running maximum must be carried
-        # across many boundaries, and compare against a naive reference.
+
+def _running_maximum(shift, k_max=12):
+    """Records of ``n -> a(n + shift)`` below ``2**k_max``, by a plain running maximum."""
+    from sternseq import stern_a
+
+    found, best = [], -1
+    for n in range(1 << k_max):
+        v = stern_a(n + shift)
+        if v > best:
+            found.append((n, v))
+            best = v
+    return found
+
+
+_RUNNING_MAXIMUM = {"A": _running_maximum(0), "S": _running_maximum(1)}
+
+
+class TestScanCells:
+    @pytest.fixture
+    def records_module(self):
         from sternseq import records as records_module
-        from sternseq import stern_a
 
         records_module._records_scan_cached.cache_clear()
-        monkeypatch.setattr(records_module, "_SCAN_CHUNK", 37)
-        try:
-            naive, best = [], -1
-            for n in range(1 << 10):
-                v = stern_a(n + shift)
-                if v > best:
-                    naive.append((n, v))
-                    best = v
-            assert [(r.index, r.value) for r in records_scan(10, convention)] == naive
-        finally:
-            records_module._records_scan_cached.cache_clear()
+        yield records_module
+        records_module._records_scan_cached.cache_clear()
+
+    @pytest.mark.parametrize("convention", ["A", "S"])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 37, 64])
+    def test_every_chunk_size_matches_running_maximum(
+        self, monkeypatch, records_module, chunk, convention
+    ):
+        # Small chunks carry the running maximum across many boundaries;
+        # chunk size 1 makes every record the first index of its chunk.
+        monkeypatch.setattr(records_module, "_SCAN_CHUNK", chunk)
+        for k in range(1, 13):
+            expected = [(n, v) for n, v in _RUNNING_MAXIMUM[convention] if n < 1 << k]
+            assert [(r.index, r.value) for r in records_scan(k, convention)] == expected
+
+    def test_index_and_value_are_python_ints(self, records_module):
+        for convention in ("A", "S"):
+            for r in records_scan(12, convention):
+                assert type(r.index) is int and type(r.value) is int
+
+    @pytest.mark.parametrize("k", [1, 12, 21])
+    def test_scan_asks_for_the_narrowest_exact_cells(self, monkeypatch, records_module, k):
+        import numpy as np
+
+        from sternseq.core import _cell_dtype
+
+        asked = []
+        stern_range = records_module.stern_range
+
+        def spy(lo, hi, dtype=None):
+            asked.append(np.dtype(dtype))
+            return stern_range(lo, hi, dtype)
+
+        monkeypatch.setattr(records_module, "stern_range", spy)
+        records_scan(k, "A")
+        assert asked and set(asked) == {_cell_dtype(k)} == {np.dtype(np.uint32)}
 
 
 class TestSubstringAudit:
