@@ -19,6 +19,9 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager, nullcontext
+from functools import partial
+from itertools import groupby
+from operator import attrgetter
 
 from .budget import (
     DEFAULT_MAX_BITS,
@@ -59,42 +62,88 @@ def _output(path: str | None):
     except BrokenPipeError:
         raise
     except OSError as exc:
+        if not path:
+            _discard_stdout()
         raise UsageError(f"cannot write {path or 'standard output'}: {exc.strerror}") from exc
 
 
-def format_records(rows, fmt: str, convention: str = "A"):
-    """Render ``(index, value, k, family, parameter)`` rows, one line each, in an output format.
+def _discard_stdout() -> None:
+    """Point standard output at the null device, so that the flush at exit cannot fail."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
-    ``index`` and ``value`` are ``int`` or ``decimal.Decimal``; ``family``
-    and ``parameter`` are as :func:`~sternseq.closedform.kbit_rows` yields
-    them.  A row with a family takes its bits from the family's pattern,
-    not from its index; ``bfile`` makes no bits.  ``bfile`` follows the
-    OEIS flat-file convention ("index value" per line); ``jsonlines``
-    string-encodes the integers so arbitrarily large values survive tools
-    that parse numbers as doubles.  The family column is the family id,
-    if any.  Every ``jsonlines`` field is decimal or binary digits, an
-    ASCII family id or an int, so the line is the ``json.dumps`` layout
-    written out directly, with nothing to escape.
+
+#: Per format: the text before the index, between index and bits, and
+#: between bits and value, then the line's tail after the value, for a
+#: row with a family and for one without.
+_LINE_PARTS = {
+    "plain": ("", " ", " ", " {family}\n", "\n"),
+    "csv": ("", ",", ",", ",{k},{family}\n", ",{k},\n"),
+    "jsonlines": (
+        '{"index": "', '", "bits": "', '", "value": "',
+        '", "k": {k}, "family": "{family}"}}\n', '", "k": {k}}}\n',
+    ),
+    "bfile": ("", "", " ", "\n", "\n"),
+}
+
+
+def _bits_of(fmt: str, n: int, family, shifted: bool):
+    """The bits of a row in a run: from its parameter with a family, from its index without."""
+    if fmt == "bfile":
+        return lambda _: ""
+    if not family:
+        return lambda index: format(int(index), "b")
+    if shifted:
+        return lambda parameter: family.bits(n, parameter)[:-1] + "0"  # every pattern ends in 1
+    return partial(family.bits, n)
+
+
+def format_records(listing, fmt: str, convention: str = "A"):
+    """Render a listing in an output format, one line per row, each ending in a newline.
+
+    ``listing`` yields ``(k, rows)`` as
+    :func:`~sternseq.closedform.kbit_listing` does: the record-setters
+    whose "A" index has ``k`` bits, in index order, as rows ``(index,
+    value, family, parameter)`` of ``int`` or ``decimal.Decimal``
+    numbers.  A row with a family takes its bits from the family's
+    pattern, not from its index; ``bfile`` makes no bits.  Under
+    convention "S" a row stands for the record-setter of ``s(n) =
+    a(n+1)`` with the same value: its index moves down by one, in the
+    decimal context current when the row is read, so the last bit of its
+    pattern, always 1, becomes 0, and index 1 becomes s-index 0, with
+    ``k`` 0.  The text of a line other than its index, bits and value is
+    fixed once for each run of rows of one family, and each line is made
+    as its row is read.
+
+    ``bfile`` follows the OEIS flat-file convention ("index value" per
+    line); ``jsonlines`` string-encodes the integers so arbitrarily large
+    values survive tools that parse numbers as doubles.  The family
+    column is the family id, if any.  Every ``jsonlines`` field is
+    decimal or binary digits, an ASCII family id or an int, so the line
+    is the ``json.dumps`` layout written out directly, with nothing to
+    escape.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     if fmt == "csv":
-        yield "index,bits,value,k,family"
-    for index, value, k, family, parameter in rows:
-        if fmt == "bfile":
-            yield f"{index} {value}"
-            continue
-        bits = family.bits(k // 2, parameter) if family else format(int(index), "b")
-        if family and convention == "S":
-            bits = bits[:-1] + "0"  # every pattern ends in 1
-        family_id = family and family.family_id
-        if fmt == "plain":
-            yield f"{index} {bits} {value}" + (f" {family_id}" if family else "")
-        elif fmt == "csv":
-            yield f"{index},{bits},{value},{k},{family_id or ''}"
-        else:
-            doc = f'"index": "{index}", "bits": "{bits}", "value": "{value}", "k": {k}'
-            yield f'{{{doc}, "family": "{family_id}"}}' if family else f"{{{doc}}}"
+        yield "index,bits,value,k,family\n"
+    shifted = convention == "S"
+    head, after_index, after_bits, family_tail, bare_tail = _LINE_PARTS[fmt]
+    for k, rows in listing:
+        n = k // 2
+        if shifted and k == 1:
+            k = 0  # index 1 moves to s-index 0
+        run = 0  # the family of the current run; no row has this one
+        for index, value, family, parameter in rows:
+            if family is not run:
+                run = family
+                bits_of = _bits_of(fmt, n, family, shifted)
+                tail = (family_tail if family else bare_tail).format(
+                    k=k, family=family and family.family_id
+                )
+            if shifted:
+                index -= 1
+            bits = bits_of(parameter if family else index)
+            yield f"{head}{index!s}{after_index}{bits}{after_bits}{value!s}{tail}"
 
 
 def parse_bfile(text: str) -> list[tuple[int, int]]:
@@ -109,34 +158,37 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def _scanned(k: int, convention: str, exact_bits: bool):
-    """The scanned rows, each given the family and parameter of its "A" index."""
-    records = records_in_bitlength(k, convention) if exact_bits else records_scan(k, convention)
-    shift = 1 if convention == "S" else 0
+def _scanned(k_values: range):
+    """The scanned listing of the "A" bit lengths ``k_values``, with each row's family.
+
+    The scan, with its ceiling check, runs on the call, before any output is opened.
+    """
+    records = records_scan(k_values.stop - 1, "A")
     patterns = {
-        index - shift: (family, parameter)
-        for kk in range(max(CLOSED_FORM_MIN_BITS, k if exact_bits else 1), k + 1)
-        for index, _, family, parameter in kbit_rows(kk)
+        index: (family, parameter)
+        for k in k_values
+        if k >= CLOSED_FORM_MIN_BITS
+        for index, _, family, parameter in kbit_rows(k)
     }
     return (
-        (r.index, r.value, r.bit_length, *patterns.get(r.index, (None, None))) for r in records
+        (k, ((r.index, r.value, *patterns.get(r.index, (None, None))) for r in group))
+        for k, group in groupby(records, attrgetter("bit_length"))
+        if k in k_values
     )
 
 
-def _closed_form(k: int, convention: str, exact_bits: bool):
-    """The closed-form rows in exact decimal, shifted down by one index under convention "S"."""
+def _closed_form(k_values: range):
+    """The closed-form listing of the bit lengths ``k_values`` in exact decimal.
+
+    The exact context is current from the first row read to the end of
+    the listing, so that :func:`format_records` moves decimal indices in it.
+    """
     import decimal
 
     traps = [decimal.Inexact, decimal.Rounded, decimal.InvalidOperation]
     exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=traps)
-    shift = 1 if convention == "S" else 0
     with decimal.localcontext(exact):
-        k_values = (k,) if exact_bits else range(1, k + 1)
-        for kk, rows in kbit_listing(k_values, decimal.Decimal(1)):
-            for index, value, family, parameter in rows:
-                index -= shift
-                if index or not exact_bits:  # the 1-bit record maps to s-index 0
-                    yield index, value, kk if index else 0, family, parameter
+        yield from kbit_listing([k for k in k_values if k], decimal.Decimal(1))  # a(0) has none
 
 
 # ----------------------------- subcommands -----------------------------
@@ -162,10 +214,14 @@ def cmd_records(args) -> int:
     k = args.bits if exact_bits else args.max_bits
     if k < 1:
         raise UsageError("bit length must be >= 1")
+    # The "A" bit lengths to list.  Under "S", a(0) has no s-index, and
+    # index 1 moves to s-index 0, which has no bits, so --bits 1 lists nothing.
+    shifted = args.convention == "S"
+    lo = max(k, 1 + shifted) if exact_bits else int(shifted)
     source = _scanned if args.source == "scan" else _closed_form
-    lines = format_records(source(k, args.convention, exact_bits), args.format, args.convention)
+    lines = format_records(source(range(lo, k + 1)), args.format, args.convention)
     with _output(args.output) as out:
-        out.writelines(f"{line}\n" for line in lines)
+        out.writelines(lines)
     return EXIT_OK
 
 
@@ -246,7 +302,7 @@ def cmd_verify(args) -> int:
         lo, hi = _parse_k_range(args.k_range)
     except ValueError:
         raise UsageError(f"--k-range must look like 1..12, got {args.k_range!r}") from None
-    suites = args.suites.split(",") if args.suites else list(SUITES)
+    suites = list(SUITES) if args.suites is None else args.suites.split(",")
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
         raise UsageError(f"unknown suites {unknown}; pick from {','.join(SUITES)}")
@@ -332,8 +388,7 @@ def main(argv: list[str] | None = None) -> int:
         with _output(None):  # so that what the subcommands print is flushed and checked here
             return args.func(args)
     except BrokenPipeError:
-        # What is still buffered goes to the null device, so the flush at exit cannot fail.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _discard_stdout()  # what is still buffered
         return EXIT_OK
     except (UsageError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -186,17 +186,25 @@ def render_bits(descriptor: FamilyDescriptor, n: int) -> str:
     return _check_descriptor(descriptor, n).bits(n, descriptor.parameter)
 
 
-class _Table:
-    """A table whose entries are computed when read, ``T[i] == entry(i)``."""
+class _PowersOfTwo:
+    """``P[i] == 1 << i`` in int arithmetic, computed when read."""
 
-    def __init__(self, entry):
-        self.entry = entry
+    def __getitem__(self, i: int) -> int:
+        return 1 << i
+
+
+class _Lucas:
+    """Lucas numbers read from a Fibonacci table, ``L[i] == F[i - 1] + F[i + 1]``, not stored."""
+
+    def __init__(self, F):
+        self.F = F
 
     def __getitem__(self, i: int):
-        return self.entry(i)
+        F = self.F
+        return F[i - 1] + F[i + 1]
 
 
-_POWERS_OF_TWO = _Table((1).__lshift__)  # P[i] == 1 << i in int arithmetic
+_POWERS_OF_TWO = _PowersOfTwo()
 
 
 def closed_form_index(descriptor: FamilyDescriptor, n: int) -> int:
@@ -251,7 +259,7 @@ def _tables(k_max: int, one):
         P.append(P[-1] + P[-1])
     for _ in range(m - 1):
         F.append(F[-1] + F[-2])
-    return P, F, _Table(lambda i: F[i - 1] + F[i + 1])
+    return P, F, _Lucas(F)
 
 
 def _rows(k: int, one, P, F, L):
@@ -284,9 +292,11 @@ def kbit_listing(k_values, one=1):
     """Yield ``(k, rows)`` for each ``k`` in the sequence ``k_values``, as :func:`kbit_rows` would.
 
     The tables are built once, when the first row is asked for, for the
-    largest ``k``; every bit length reads a prefix of them.
+    largest ``k``; every bit length reads a prefix of them.  Each
+    ``rows`` makes its rows as they are read, family run by family run,
+    which is the shape :func:`sternseq.cli.format_records` writes.
     """
-    tables = _tables(max(k_values), one)
+    tables = _tables(max(k_values, default=1), one)
     for k in k_values:
         yield k, _rows(k, one, *tables)
 

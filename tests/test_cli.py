@@ -184,6 +184,13 @@ class TestRecords:
         assert code == EXIT_BUDGET
         assert "ceiling" in err
 
+    def test_budget_exit_leaves_no_output_file(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv(MAX_BITS_ENV_VAR, "8")
+        target = tmp_path / "records.txt"
+        code, _, err = run(capsys, "records", "--max-bits", "20", "--output", str(target))
+        assert code == EXIT_BUDGET and "ceiling" in err
+        assert not target.exists()
+
     def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "records.txt"
         code, out, err = run(capsys, "records", "--max-bits", "4", "--output", str(target))
@@ -192,15 +199,22 @@ class TestRecords:
 
     @pytest.mark.parametrize("convention", ["A", "S"])
     def test_jsonlines_equal_json_dumps(self, convention):
-        rows = [
-            *cli._scanned(4, convention, False),  # index 0, whose bits are "0"
-            *cli._scanned(13, convention, True),
-            *cli._closed_form(14, convention, False),  # decimal from 12 bits on
+        shift = 1 if convention == "S" else 0
+        listing = [
+            (k, list(rows))  # each listing read while it is current, as format_records reads it
+            for source in (
+                cli._scanned(range(shift, 5)),  # index 0, whose bits are "0"
+                cli._scanned(range(13, 14)),
+                cli._closed_form(range(1, 15)),  # decimal from 12 bits on
+            )
+            for k, rows in source
         ]
-        assert {family is None for _, _, _, family, _ in rows} == {True, False}
-        lines = list(cli.format_records(rows, "jsonlines", convention))
+        rows = [row for _, rows in listing for row in rows]
+        assert {family is None for _, _, family, _ in rows} == {True, False}
+        lines = list(cli.format_records(listing, "jsonlines", convention))
         assert len(lines) == len(rows)
-        for (index, value, _, family, _), line in zip(rows, lines):
+        for (index, value, family, _), line in zip(rows, lines):
+            index -= shift
             doc = {
                 "index": str(index),
                 "bits": format(int(index), "b"),
@@ -209,7 +223,22 @@ class TestRecords:
             }
             if family is not None:
                 doc["family"] = family.family_id
-            assert line == json.dumps(doc)
+            assert line == json.dumps(doc) + "\n"
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_format_records_streams(self, fmt):
+        # Every line of the first bit length comes out before the second is asked for.
+        first = list(cli.format_records([(13, closedform.kbit_rows(13))], fmt))
+        assert len(first) == count_kbit(13) + (fmt == "csv")
+
+        def listing():
+            yield 13, closedform.kbit_rows(13)
+            raise RuntimeError("the second bit length")
+
+        lines = cli.format_records(listing(), fmt)
+        assert [next(lines) for _ in first] == first
+        with pytest.raises(RuntimeError, match="the second bit length"):
+            next(lines)
 
     def test_requires_a_range_option(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -276,8 +305,9 @@ class TestPlot:
 
 #: sha256 of outputs taken before plot streamed in windows, jsonlines
 #: stopped going through json.dumps, closed-form listings were built in
-#: decimal and closed-form rows were made family by family; the output
-#: must stay byte-identical.
+#: decimal, closed-form rows were made family by family and listings of
+#: either source were formatted one family run at a time; the output must
+#: stay byte-identical.
 PINNED_OUTPUT_SHA256 = {
     "plot --max 200000": "6940b269485e3af37bb2e107dfdd9fdde1dc99f9a36846dbf6e33d378caee6c6",
     "plot --max 200000 --format plain": (
@@ -315,6 +345,33 @@ PINNED_OUTPUT_SHA256 = {
     ),
     "records --max-bits 200 --source closed-form --format bfile --convention S": (
         "beda37cc6d9d37ec943b8b1960d2a9c9bde502e80368f6c4167c48a596b36104"
+    ),
+    "records --max-bits 16 --format plain --convention A": (
+        "bf730cfa57a019361e40ccf5c2e7f1971221eacd18f1709d5c3521fe87f5f00e"
+    ),
+    "records --max-bits 16 --format csv --convention A": (
+        "50596e5ff5f95837fef2e646425c26edc642b2c1ac5420144670e288c583f59b"
+    ),
+    "records --max-bits 16 --format jsonlines --convention A": (
+        "36df5b37523390f9401445fa73b2ed94090c032c9e8980fb3a46f6c3ea1a32d9"
+    ),
+    "records --max-bits 16 --format bfile --convention A": (
+        "8e53b655de49b24e8585d7befd47b156b4046f80ea4ff5bebbb433b38ac78771"
+    ),
+    "records --max-bits 16 --format plain --convention S": (
+        "9c6b871924fc41c066ae7bfa988fa0c6c55a4528bbe9d550e97b8c6e72fae7f8"
+    ),
+    "records --max-bits 16 --format csv --convention S": (
+        "41c62206c6201bb1e2f26de911331d35fe11e8d690393bab70ed6567c8f0e369"
+    ),
+    "records --max-bits 16 --format jsonlines --convention S": (
+        "f1b30a4d206bcf89b884947a3c8e3d491911ecb1ca98b7efdf2f3607d82499ee"
+    ),
+    "records --max-bits 16 --format bfile --convention S": (
+        "626608d8be8fcf15e543cb03bb4b5d043493964b6bc625ebc748df8a83409d3a"
+    ),
+    "records --bits 13 --format csv": (
+        "5fc79a149e36655119df1d818fa839c0841fea2b11684bda48db1f105389508e"
     ),
 }
 
@@ -414,6 +471,15 @@ class TestVerify:
         assert code == 2
         assert "vibes" in err
 
+    @pytest.mark.parametrize(
+        "suites, unknown", [("", "['']"), ("tables,", "['']"), (",", "['', '']")]
+    )
+    def test_empty_suite_name_is_usage_error(self, capsys, suites, unknown):
+        code, out, err = run(capsys, "verify", "--k-range", "1..4", "--suites", suites)
+        assert (code, out) == (EXIT_USAGE, [])
+        pick = "tables,identities,substrings,extremal,crossval"
+        assert err.splitlines() == [f"error: unknown suites {unknown}; pick from {pick}"]
+
     def test_budget_exit(self, capsys, monkeypatch):
         monkeypatch.setenv(MAX_BITS_ENV_VAR, "10")
         code, _, err = run(capsys, "verify", "--k-range", "1..12", "--suites", "crossval")
@@ -510,13 +576,13 @@ class TestBeyondIntStrLimit:
         # Decimal(int) converts exactly, without going through decimal text.
         index = Decimal(closed_form_index(self.E3, 7150))
         value = Decimal(closed_form_stern_value(self.E3, 7150))
-        return index, value, 14300, closedform._FAMILIES["E3"], None
+        return index, value, closedform._FAMILIES["E3"], None
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_format_records_restores_limit(self, e3_row, fmt):
         # A decimal row is written in every format under the default limit.
         limit = sys.get_int_max_str_digits()
-        text = "\n".join(cli.format_records([e3_row], fmt))
+        text = "".join(cli.format_records([(14300, [e3_row])], fmt))
         digits = str(e3_row[0])
         assert sys.get_int_max_str_digits() == limit
         assert len(digits) == 4305 and digits in text
@@ -529,10 +595,10 @@ class TestBeyondIntStrLimit:
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_records_command_exits_zero(self, capsys, monkeypatch, e3_row, fmt):
-        index, value, _, family, _ = e3_row
+        index, value, _, _ = e3_row
         if fmt != "bfile":
             # Each of the 10,724 lines would also carry 14,300 bits: write the last row only.
-            last_row = (14300, iter([(index, value, family, None)]))
+            last_row = (14300, iter([e3_row]))
             monkeypatch.setattr(cli, "kbit_listing", lambda ks, one: iter([last_row]))
         limit = sys.get_int_max_str_digits()
         code, out, err = run(
@@ -565,14 +631,15 @@ def _family_and_parameter(descriptor):
 def test_decimal_rows_equal_generate_kbit(convention):
     shift = 1 if convention == "S" else 0
     for k in [*range(1, 201), 511, 512, 999, 1000]:
-        rows = list(cli._closed_form(k, convention, True))
+        rows = [(kk, *row) for kk, rows in cli._closed_form(range(k, k + 1)) for row in rows]
         expected = [
-            (e.index - shift, e.value, k, *_family_and_parameter(e.descriptor))
-            for e in generate_kbit(k)
-            if e.index - shift  # the 1-bit record maps to s-index 0
+            (k, e.index, e.value, *_family_and_parameter(e.descriptor)) for e in generate_kbit(k)
         ]
         assert rows == expected
-        assert all(type(n) is Decimal for index, value, *_ in rows for n in (index, value))
+        assert all(type(n) is Decimal for _, index, value, *_ in rows for n in (index, value))
+        # Under "S" each decimal index moves down by one exactly, in the listing's context.
+        lines = cli.format_records(cli._closed_form(range(k, k + 1)), "bfile", convention)
+        assert list(lines) == [f"{e.index - shift} {e.value}\n" for e in generate_kbit(k)]
 
 
 def test_records_leaves_the_decimal_context_unchanged(capsys):
@@ -586,6 +653,7 @@ def test_records_leaves_the_decimal_context_unchanged(capsys):
 def _spawn(argv, **kwargs):
     """The command line in a fresh interpreter, as the console script runs it."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)  # standard output is buffered, as a user runs it
     script = "import sys; from sternseq.cli import main; sys.exit(main())"
     return subprocess.Popen([sys.executable, "-c", script, *argv], env=env, **kwargs)
 
