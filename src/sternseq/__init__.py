@@ -8,16 +8,7 @@ closed-form classification of all record-setters from 12 bits on.
 """
 
 from .budget import BudgetExceededError, memory_ceiling_bits
-from .closedform import (
-    FamilyDescriptor,
-    closed_form_index,
-    closed_form_stern_value,
-    count_kbit,
-    cross_validate,
-    family_descriptors,
-    generate_kbit,
-    render_bits,
-)
+from .closedform import count_kbit, cross_validate, generate_kbit
 from .core import (
     hyperbinary_count_dp,
     hyperbinary_enumerate,
@@ -25,7 +16,7 @@ from .core import (
     stern_range,
     stern_s,
 )
-from .fibonacci import fib, fib_lucas_table, lucas
+from .fibonacci import fib, lucas
 from .records import (
     AuditReport,
     RecordSetter,
@@ -56,20 +47,15 @@ __all__ = [
     "Bottom",
     "BudgetExceededError",
     "Comparator",
-    "FamilyDescriptor",
     "Mat2",
     "RecordSetter",
     "audit_substring_properties",
-    "closed_form_index",
-    "closed_form_stern_value",
     "count_kbit",
     "cross_validate",
     "delta",
     "dominates",
     "double_prime",
-    "family_descriptors",
     "fib",
-    "fib_lucas_table",
     "g_split",
     "g_value",
     "generate_kbit",
@@ -81,7 +67,6 @@ __all__ = [
     "prime",
     "records_in_bitlength",
     "records_scan",
-    "render_bits",
     "stern_a",
     "stern_range",
     "stern_s",

@@ -306,6 +306,8 @@ def cmd_verify(args) -> int:
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
         raise UsageError(f"unknown suites {unknown}; pick from {','.join(SUITES)}")
+    if len(set(suites)) < len(suites):
+        raise UsageError(f"--suites names a suite more than once: {args.suites!r}")
     scan_bits = max(SCAN_BITS[suite](lo, hi) for suite in suites)
     if scan_bits:
         check_scan_budget(scan_bits)  # before any suite prints its result

@@ -31,53 +31,23 @@ family at a time, and checks that every index exceeds the last and has
 ``k`` bits.  :func:`kbit_listing` yields the rows of many bit lengths from
 one pair of tables built for the longest; ``sternseq records`` asks for
 them in exact decimal, so it never converts an index from binary to
-decimal text.  :func:`generate_kbit`
-lists the int rows as :class:`~sternseq.records.RecordSetter` records.
-:func:`cross_validate` checks a range of bit lengths against one
-brute-force scan, and each index formula against its rendered bits.
+decimal text.  :func:`generate_kbit` lists the int rows as
+:class:`~sternseq.records.RecordSetter` records.  :func:`cross_validate`
+checks a range of bit lengths against one brute-force scan, and each
+index formula against its family's bit pattern.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .core import stern_a
-from .fibonacci import fib_lucas_table
 from .records import AuditReport, RecordSetter, records_scan
 from .tables import SMALL_BITLENGTH_MAX, SMALL_BITLENGTH_RECORDS
 
-__all__ = [
-    "FamilyDescriptor",
-    "closed_form_index",
-    "closed_form_stern_value",
-    "count_kbit",
-    "cross_validate",
-    "family_descriptors",
-    "generate_kbit",
-    "kbit_listing",
-    "kbit_rows",
-    "render_bits",
-]
+__all__ = ["count_kbit", "cross_validate", "generate_kbit", "kbit_listing", "kbit_rows"]
 
 CLOSED_FORM_MIN_BITS = SMALL_BITLENGTH_MAX + 1
-
-EVEN_FAMILIES = ("E1", "E2", "E3")  # in index order
-ODD_FAMILIES = ("O1", "O2", "O3", "O4", "O5")
-
-
-@dataclass(frozen=True, slots=True)
-class FamilyDescriptor:
-    """One record-setter pattern: family id plus its free parameter."""
-
-    parity: str  # "even" | "odd"
-    family_id: str
-    parameter: int | None = None
-
-    def __post_init__(self):
-        families = EVEN_FAMILIES if self.parity == "even" else ODD_FAMILIES
-        if self.parity not in ("even", "odd") or self.family_id not in families:
-            raise ValueError(f"unknown family {self.parity}/{self.family_id}")
 
 
 def _exact_third(numerator):
@@ -99,7 +69,6 @@ class _Family(NamedTuple):
     index: Callable  # (n, p, P) -> index
     value: Callable  # (n, p, F, L) -> Stern value
     bits: Callable[[int, int | None], str]  # (n, p) -> binary pattern
-    min_n: int = 0  # smallest n at which ``value`` reads no negative table index
 
 
 _FAMILIES = {family.family_id: family for family in (
@@ -128,14 +97,12 @@ _FAMILIES = {family.family_id: family for family in (
         lambda n, p, P: P[2 * n] + _exact_third(P[2 * n - 2] - 1),
         lambda n, p, F, L: F[2 * n + 1] + F[2 * n - 4],
         lambda n, p: "1000" + "10" * (n - 2) + "1",
-        min_n=2,
     ),
     _Family(
         "O2", lambda n: (None,),
         lambda n, p, P: P[2 * n] + P[2 * n - 3] + _exact_third(P[2 * n - 4] - 7),
         lambda n, p, F, L: F[2 * n + 1] + 8 * F[2 * n - 8],
         lambda n, p: "100100" + "10" * (n - 4) + "011",
-        min_n=4,
     ),
     _Family(
         "O3", lambda n: range(1, (n + 1) // 2),
@@ -162,37 +129,6 @@ _FAMILIES = {family.family_id: family for family in (
 )}
 
 
-def _check_descriptor(descriptor: FamilyDescriptor, n: int) -> _Family:
-    """The table entry of ``descriptor``, once its parameter is checked against ``n``."""
-    family = _FAMILIES[descriptor.family_id]
-    param_range = family.params(n)
-    if descriptor.parameter not in param_range:
-        if param_range == (None,):
-            raise ValueError(f"{descriptor.family_id} takes no parameter")
-        raise ValueError(
-            f"{descriptor.family_id} parameter must lie in "
-            f"[{param_range.start}, {param_range.stop - 1}] for n={n}, "
-            f"got {descriptor.parameter}"
-        )
-    return family
-
-
-def render_bits(descriptor: FamilyDescriptor, n: int) -> str:
-    """Binary string of the record-setter described by ``descriptor``.
-
-    ``n`` is the half-length: the result has ``2n`` bits for even
-    families and ``2n + 1`` bits for odd ones.
-    """
-    return _check_descriptor(descriptor, n).bits(n, descriptor.parameter)
-
-
-class _PowersOfTwo:
-    """``P[i] == 1 << i`` in int arithmetic, computed when read."""
-
-    def __getitem__(self, i: int) -> int:
-        return 1 << i
-
-
 class _Lucas:
     """Lucas numbers read from a Fibonacci table, ``L[i] == F[i - 1] + F[i + 1]``, not stored."""
 
@@ -204,38 +140,9 @@ class _Lucas:
         return F[i - 1] + F[i + 1]
 
 
-_POWERS_OF_TWO = _PowersOfTwo()
-
-
-def closed_form_index(descriptor: FamilyDescriptor, n: int) -> int:
-    """Integer index of the record-setter, by geometric-sum closed form."""
-    family = _check_descriptor(descriptor, n)
-    return family.index(n, descriptor.parameter, _POWERS_OF_TWO)
-
-
-def closed_form_stern_value(descriptor: FamilyDescriptor, n: int) -> int:
-    """Stern value of the record-setter, as a Fibonacci/Lucas product."""
-    family = _check_descriptor(descriptor, n)
-    if n < family.min_n:
-        raise ValueError(f"{descriptor.family_id} has no closed-form value for n={n}")
-    return family.value(n, descriptor.parameter, *fib_lucas_table(2 * n + 2))
-
-
 def _families(k: int) -> list[_Family]:
     """The table entries of bit length ``k``, in index order."""
-    return [_FAMILIES[family_id] for family_id in (ODD_FAMILIES if k % 2 else EVEN_FAMILIES)]
-
-
-def family_descriptors(k: int) -> list[FamilyDescriptor]:
-    """All family descriptors for bit length ``k >= 12``."""
-    if k < CLOSED_FORM_MIN_BITS:
-        raise ValueError(f"closed forms start at {CLOSED_FORM_MIN_BITS} bits, got {k}")
-    n, parity = k // 2, "odd" if k % 2 else "even"
-    return [
-        FamilyDescriptor(parity, family.family_id, p)
-        for family in _families(k)
-        for p in family.params(n)
-    ]
+    return [family for family_id, family in _FAMILIES.items() if family_id[0] == "EO"[k % 2]]
 
 
 def count_kbit(k: int) -> int:
@@ -320,23 +227,19 @@ def kbit_rows(k: int, one=1):
 
 def generate_kbit(k: int) -> list[RecordSetter]:
     """All ``k``-bit record-setters in index order: the int rows of :func:`kbit_rows`."""
-    parity = "odd" if k % 2 else "even"
-    return [
-        RecordSetter(i, value, descriptor=family and FamilyDescriptor(parity, family.family_id, p))
-        for i, value, family, p in kbit_rows(k)
-    ]
+    return [RecordSetter(i, v) for i, v, _, _ in kbit_rows(k)]
 
 
 def cross_validate(lo: int, hi: int) -> AuditReport:
     """Compare the closed forms for ``lo..hi`` bits against one brute-force scan.
 
     The records of a single scan below ``2**hi`` are grouped by bit
-    length, and each group must equal :func:`generate_kbit` element-wise
-    in index and Stern value.  From 12 bits on, each closed-form index
-    formula must also reproduce its rendered bits.  Violations are keyed
-    by the scanned index, the rendered index for a formula mismatch, or
-    the first index of the bit length for a count mismatch;
-    ``checked_count`` is the number of bit lengths.
+    length, and each group must equal the rows of :func:`kbit_rows`
+    element-wise in index and Stern value.  From 12 bits on, each row's
+    index must also be its family's bit pattern read in binary.
+    Violations are keyed by the scanned index, the pattern's index for a
+    formula mismatch, or the first index of the bit length for a count
+    mismatch; ``checked_count`` is the number of bit lengths.
     """
     if lo < 1 or hi < lo:
         raise ValueError(f"bit-length range must satisfy 1 <= lo <= hi, got {lo}..{hi}")
@@ -346,17 +249,16 @@ def cross_validate(lo: int, hi: int) -> AuditReport:
             scanned[record.bit_length].append(record)
     violations: list[tuple[int, str]] = []
     for k, found in scanned.items():
-        expected = generate_kbit(k)
+        expected = list(kbit_rows(k))
         if len(expected) != len(found):
             count = f"{len(expected)} by closed form, {len(found)} by scan"
             violations.append((1 << (k - 1), f"{k}-bit record-setters: {count}"))
-        for entry, record in zip(expected, found):
-            if entry.index != record.index:
-                violations.append((record.index, f"closed form gives index {entry.index}"))
-            elif entry.value != record.value:
-                violations.append((record.index, f"closed form gives value {entry.value}"))
-        for entry in expected:  # from 12 bits on: the formula, keyed at the rendered bits
-            d, index = entry.descriptor, entry.index
-            if d and (at := int(render_bits(d, k // 2), 2)) != index:
-                violations.append((at, f"{d.family_id}({d.parameter}) formula gives {index}"))
+        for (index, value, _, _), record in zip(expected, found):
+            if index != record.index:
+                violations.append((record.index, f"closed form gives index {index}"))
+            elif value != record.value:
+                violations.append((record.index, f"closed form gives value {value}"))
+        for index, _, family, p in expected:  # from 12 bits on: the formula, keyed at its pattern
+            if family is not None and (at := int(family.bits(k // 2, p), 2)) != index:
+                violations.append((at, f"{family.family_id}({p}) formula gives {index}"))
     return AuditReport(violations, hi - lo + 1)

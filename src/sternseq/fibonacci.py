@@ -1,15 +1,15 @@
 """Fibonacci and Lucas numbers (exact integers).
 
-Cost model: :func:`fib_lucas_table` makes one additive pass, O(m)
-big-integer additions for ``F(0..m)`` and ``L(0..m)``; the scalars
-:func:`fib` and :func:`lucas` use fast doubling, O(log n)
-multiplications each.  Nothing is cached across calls, so a caller that
-needs many values of one range builds one table and indexes it.
+Cost model: :func:`fib` and :func:`lucas` use fast doubling, O(log n)
+multiplications each.  Nothing is cached across calls.  A caller that
+needs many values of one range builds one table and indexes it; the
+closed forms read the one table builder, :func:`sternseq.closedform._tables`
+(one additive pass, O(m) big-number additions for ``F(0..m)``).
 """
 
 from __future__ import annotations
 
-__all__ = ["fib", "fib_lucas_table", "lucas"]
+__all__ = ["fib", "lucas"]
 
 
 def _fib_pair(n: int) -> tuple[int, int]:
@@ -33,15 +33,3 @@ def lucas(n: int) -> int:
     """``L(n)`` with ``L(0) = 2``, ``L(1) = 1``."""
     f, f_next = _fib_pair(n)
     return 2 * f_next - f
-
-
-def fib_lucas_table(m: int) -> tuple[list[int], list[int]]:
-    """Lists ``F`` and ``L`` with ``F[i] = F(i)`` and ``L[i] = L(i)`` for ``0 <= i <= m``."""
-    if m < 0:
-        raise ValueError("index must be non-negative")
-    F = [0, 1]
-    for _ in range(m):
-        F.append(F[-1] + F[-2])
-    L = [2] + [F[i - 1] + F[i + 1] for i in range(1, m + 1)]
-    del F[-1]  # F(m+1) was needed only for L(m)
-    return F, L

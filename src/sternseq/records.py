@@ -22,15 +22,12 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Literal
+from typing import Literal
 
 from .budget import check_bits_budget
 from .core import _cell_dtype, stern_range
 from .fibonacci import fib
 from .strings import Comparator, dominates, g_value, mu_of
-
-if TYPE_CHECKING:
-    from .closedform import FamilyDescriptor
 
 __all__ = [
     "AuditReport",
@@ -62,18 +59,11 @@ _BLOCKS_RE = re.compile(r"(?:10{1,3})+")
 
 @dataclass(frozen=True, slots=True)
 class RecordSetter:
-    """One running-maximum position of the sequence.
-
-    ``descriptor`` is the closed-form family, with its parameter, whose
-    pattern is the binary form of the record's "A" index; it is ``None``
-    where no family applies (below 12 bits) or none was looked up (a
-    bare scan).
-    """
+    """One running-maximum position of the sequence: its index in ``convention`` and its value."""
 
     index: int
     value: int
     convention: Convention = "A"
-    descriptor: FamilyDescriptor | None = None
 
     @property
     def bit_length(self) -> int:

@@ -13,9 +13,6 @@ import numpy as np
 
 from sternseq import (
     audit_substring_properties,
-    closed_form_index,
-    closed_form_stern_value,
-    family_descriptors,
     fib,
     g_split,
     g_value,
@@ -25,13 +22,13 @@ from sternseq import (
     mu_of,
     records_in_bitlength,
     records_scan,
-    render_bits,
     stern_a,
     stern_range,
     stern_s,
     verify_extremal_lemmas,
 )
 from sternseq.cli import main
+from sternseq.closedform import kbit_rows
 from sternseq.tables import FIRST_RECORDS, SMALL_BITLENGTH_RECORDS
 
 
@@ -142,11 +139,8 @@ def test_c08_closed_form_indices_and_values(capsys):
     start = time.perf_counter()
     ok = True
     for k in range(12, 41):
-        n = k // 2
-        for descriptor in family_descriptors(k):
-            index = closed_form_index(descriptor, n)
-            value = closed_form_stern_value(descriptor, n)
-            ok = ok and index == int(render_bits(descriptor, n), 2)
+        for index, value, family, p in kbit_rows(k):
+            ok = ok and index == int(family.bits(k // 2, p), 2)
             if k <= 24:
                 ok = ok and value == stern_a(index)
             else:

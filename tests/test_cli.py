@@ -3,6 +3,7 @@
 import decimal
 import errno
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -13,17 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sternseq import (
-    FamilyDescriptor,
-    cli,
-    closed_form_index,
-    closed_form_stern_value,
-    count_kbit,
-    fib,
-    generate_kbit,
-    render_bits,
-    stern_a,
-)
+from sternseq import cli, count_kbit, fib, generate_kbit, stern_a
 from sternseq import closedform
 from sternseq.budget import MAX_BITS_ENV_VAR
 from sternseq.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, FORMATS, main, parse_bfile
@@ -480,6 +471,12 @@ class TestVerify:
         pick = "tables,identities,substrings,extremal,crossval"
         assert err.splitlines() == [f"error: unknown suites {unknown}; pick from {pick}"]
 
+    @pytest.mark.parametrize("suites", ["tables,tables", "crossval,tables,crossval"])
+    def test_repeated_suite_is_usage_error(self, capsys, suites):
+        code, out, err = run(capsys, "verify", "--k-range", "1..4", "--suites", suites)
+        assert (code, out) == (EXIT_USAGE, [])
+        assert err.splitlines() == [f"error: --suites names a suite more than once: {suites!r}"]
+
     def test_budget_exit(self, capsys, monkeypatch):
         monkeypatch.setenv(MAX_BITS_ENV_VAR, "10")
         code, _, err = run(capsys, "verify", "--k-range", "1..12", "--suites", "crossval")
@@ -531,17 +528,17 @@ class TestVerify:
 
     def test_crossval_failure_lines(self, capsys, monkeypatch):
         # A closed form that loses its smallest 13-bit entry surfaces as exit 1.
-        from sternseq import closedform
-
-        generate = closedform.generate_kbit
-        first, second = generate(13)[:2]
-        monkeypatch.setattr("sternseq.closedform.generate_kbit", lambda k: generate(k)[k == 13 :])
+        rows = closedform.kbit_rows
+        (first, *_), (second, *_) = itertools.islice(rows(13), 2)
+        monkeypatch.setattr(
+            closedform, "kbit_rows", lambda k, one=1: itertools.islice(rows(k, one), k == 13, None)
+        )
         code, out, _ = run(capsys, "verify", "--k-range", "12..13", "--suites", "crossval")
         assert code == 1
         assert out[:3] == [
             "crossval    FAIL  checked=2",
             "  FAIL: 13-bit record-setters: 9 by closed form, 10 by scan (at 4096)",
-            f"  FAIL: closed form gives index {second.index} (at {first.index})",
+            f"  FAIL: closed form gives index {second} (at {first})",
         ]
 
 
@@ -569,13 +566,13 @@ class TestParseBfile:
 class TestBeyondIntStrLimit:
     """The 14,300-bit row ends in the E3 record-setter, whose index has 4,305 decimal digits."""
 
-    E3 = FamilyDescriptor("even", "E3")
+    #: E3 at n = 7150: index (2**(2n+1) + 1) / 3, value F(2n+1), bits (10)^(n-1) 11.
+    E3_BITS = "10" * 7149 + "11"
 
     @pytest.fixture(scope="class")
     def e3_row(self):
         # Decimal(int) converts exactly, without going through decimal text.
-        index = Decimal(closed_form_index(self.E3, 7150))
-        value = Decimal(closed_form_stern_value(self.E3, 7150))
+        index, value = Decimal((2**14301 + 1) // 3), Decimal(fib(14301))
         return index, value, closedform._FAMILIES["E3"], None
 
     @pytest.mark.parametrize("fmt", FORMATS)
@@ -588,7 +585,7 @@ class TestBeyondIntStrLimit:
         assert len(digits) == 4305 and digits in text
         assert str(e3_row[1]) in text
         if fmt != "bfile":
-            assert render_bits(self.E3, 7150) in text
+            assert self.E3_BITS in text
         # Outside input is still parsed under the default guard.
         with pytest.raises(ValueError):
             parse_bfile(f"{digits} 1")
@@ -608,7 +605,7 @@ class TestBeyondIntStrLimit:
         assert sys.get_int_max_str_digits() == limit
         if fmt != "bfile":
             assert len(out) == (2 if fmt == "csv" else 1)
-            for text in (str(index), str(value), render_bits(self.E3, 7150)):
+            for text in (str(index), str(value), self.E3_BITS):
                 assert text in out[-1]
             return
         assert len(out) == count_kbit(14300) == 10724
@@ -621,25 +618,17 @@ class TestBeyondIntStrLimit:
             parse_bfile(out[-1])
 
 
-def _family_and_parameter(descriptor):
-    if descriptor is None:
-        return None, None
-    return closedform._FAMILIES[descriptor.family_id], descriptor.parameter
-
-
 @pytest.mark.parametrize("convention", ["A", "S"])
 def test_decimal_rows_equal_generate_kbit(convention):
     shift = 1 if convention == "S" else 0
     for k in [*range(1, 201), 511, 512, 999, 1000]:
         rows = [(kk, *row) for kk, rows in cli._closed_form(range(k, k + 1)) for row in rows]
-        expected = [
-            (k, e.index, e.value, *_family_and_parameter(e.descriptor)) for e in generate_kbit(k)
-        ]
-        assert rows == expected
+        expected = list(closedform.kbit_rows(k))
+        assert rows == [(k, *row) for row in expected]
         assert all(type(n) is Decimal for _, index, value, *_ in rows for n in (index, value))
         # Under "S" each decimal index moves down by one exactly, in the listing's context.
         lines = cli.format_records(cli._closed_form(range(k, k + 1)), "bfile", convention)
-        assert list(lines) == [f"{e.index - shift} {e.value}\n" for e in generate_kbit(k)]
+        assert list(lines) == [f"{index - shift} {value}\n" for index, value, _, _ in expected]
 
 
 def test_records_leaves_the_decimal_context_unchanged(capsys):

@@ -1,28 +1,22 @@
 """Tests for the closed-form record-setter families and helpers."""
 
+import decimal
 import itertools
 from decimal import Decimal
 
 import pytest
 
-from sternseq import (
-    FamilyDescriptor,
-    closed_form_index,
-    closed_form_stern_value,
-    count_kbit,
-    cross_validate,
-    family_descriptors,
-    fib,
-    fib_lucas_table,
-    g_value,
-    generate_kbit,
-    lucas,
-    render_bits,
-    stern_a,
-)
+from sternseq import count_kbit, cross_validate, fib, g_value, generate_kbit, lucas, stern_a
 from sternseq import closedform
-from sternseq.closedform import kbit_rows
+from sternseq.closedform import kbit_listing, kbit_rows
 from sternseq.tables import SMALL_BITLENGTH_RECORDS
+
+#: An exact decimal context, as ``sternseq records`` lists closed forms in.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],
+)
 
 
 class TestFibLucas:
@@ -45,8 +39,6 @@ class TestFibLucas:
             fib(-1)
         with pytest.raises(ValueError):
             lucas(-2)
-        with pytest.raises(ValueError):
-            fib_lucas_table(-1)
 
     def test_no_cache(self):
         assert not hasattr(fib, "cache_info")
@@ -67,91 +59,90 @@ class TestFibLucas:
         assert fib(2 * m) == f * lucas(m)
         assert f_prev * f_next - f * f == (-1) ** m
 
-    @pytest.mark.parametrize("m", [0, 1, 2, 3, 500])
-    def test_table_matches_scalars(self, m):
-        F, L = fib_lucas_table(m)
-        assert F == [fib(i) for i in range(m + 1)]
-        assert L == [lucas(i) for i in range(m + 1)]
+    @pytest.mark.parametrize("k_max", [0, 1, 2, 3, 500])
+    def test_table_matches_scalars(self, k_max):
+        # The closed forms' one table builder, in both number types.
+        m = 2 * (k_max // 2) + 2
+        for one in (1, Decimal(1)):
+            with decimal.localcontext(_EXACT):
+                P, F, L = closedform._tables(k_max, one)
+                assert P == [2**i for i in range(m + 1)]
+                assert F == [fib(i) for i in range(m + 1)]
+                assert [L[i] for i in range(1, m)] == [lucas(i) for i in range(1, m)]
+            assert {type(x) for x in P + F} == {type(one)}
+
+
+def _runs(k):
+    """``(family_id, parameters)`` of each family run of ``kbit_rows(k)``, in row order."""
+    return [
+        (family.family_id, [p for _, _, _, p in rows])
+        for family, rows in itertools.groupby(kbit_rows(k), key=lambda row: row[2])
+    ]
 
 
 class TestFamilies:
-    def test_descriptor_validation(self):
-        with pytest.raises(ValueError):
-            FamilyDescriptor("even", "O1")
-        with pytest.raises(ValueError):
-            FamilyDescriptor("sideways", "E1", 0)
-
-    def test_parameter_ranges_enforced(self):
-        n = 6
-        with pytest.raises(ValueError):
-            closed_form_index(FamilyDescriptor("even", "E1", n - 2), n)
-        with pytest.raises(ValueError):
-            closed_form_index(FamilyDescriptor("even", "E2", 0), n)
-        with pytest.raises(ValueError):
-            closed_form_index(FamilyDescriptor("odd", "O3", (n + 1) // 2), n)
-        with pytest.raises(ValueError):
-            closed_form_index(FamilyDescriptor("odd", "O4", n - 1), n)
-        with pytest.raises(ValueError):
-            render_bits(FamilyDescriptor("even", "E3", 1), n)
-
     def test_family_counts(self):
+        # The module docstring's ranges: even k = 2n runs E1 (0 <= a <= n-3),
+        # E2 (1 <= b <= floor(n/2)) and E3; odd k = 2n+1 runs O1, O2,
+        # O3 (1 <= b <= ceil(n/2)-1), O4 (0 <= a <= n-2) and O5.
+        for k in range(12, 65):
+            n = k // 2
+            if k % 2:
+                expected = [
+                    ("O1", [None]),
+                    ("O2", [None]),
+                    ("O3", list(range(1, (n + 1) // 2))),
+                    ("O4", list(range(0, n - 1))),
+                    ("O5", [None]),
+                ]
+            else:
+                expected = [
+                    ("E1", list(range(0, n - 2))),
+                    ("E2", list(range(1, n // 2 + 1))),
+                    ("E3", [None]),
+                ]
+            assert _runs(k) == expected
         # even k = 2n: (n-2) + floor(n/2) + 1; odd k = 2n+1: 3 + (ceil(n/2)-1) + (n-1)
-        assert len(family_descriptors(12)) == 8
-        assert len(family_descriptors(13)) == 10
-        assert len(family_descriptors(14)) == 9
-        assert len(family_descriptors(15)) == 12
-
-    def test_rejects_small_k(self):
-        with pytest.raises(ValueError):
-            family_descriptors(11)
+        assert [len(list(kbit_rows(k))) for k in (12, 13, 14, 15)] == [8, 10, 9, 12]
 
 
 class TestClosedForms:
     def test_even_index_examples(self):
-        n = 6
-        assert closed_form_index(FamilyDescriptor("even", "E1", 0), n) == 2219
-        assert closed_form_index(FamilyDescriptor("even", "E3"), n) == 2731
-        assert int(render_bits(FamilyDescriptor("even", "E1", 0), n), 2) == 2219
+        rows = list(kbit_rows(12))
+        (index, _, e1, p), (last, _, e3, _) = rows[0], rows[-1]
+        assert (e1.family_id, p, index) == ("E1", 0, 2219)
+        assert (e3.family_id, last) == ("E3", 2731)
+        assert int(e1.bits(6, 0), 2) == 2219
 
     def test_odd_index_examples(self):
-        n = 6
-        assert closed_form_index(FamilyDescriptor("odd", "O5"), n) == 5461
-        assert render_bits(FamilyDescriptor("odd", "O5"), n) == "1010101010101"
-        assert render_bits(FamilyDescriptor("odd", "O1"), n) == "1000101010101"
+        rows = list(kbit_rows(13))
+        (_, _, o1, _), (index, _, o5, _) = rows[0], rows[-1]
+        assert (o5.family_id, index) == ("O5", 5461)
+        assert o5.bits(6, None) == "1010101010101"
+        assert (o1.family_id, o1.bits(6, None)) == ("O1", "1000101010101")
 
     def test_stern_value_examples(self):
-        n = 6
-        assert closed_form_stern_value(FamilyDescriptor("even", "E1", 0), n) == 157
-        assert closed_form_stern_value(FamilyDescriptor("even", "E3"), n) == 233 == fib(13)
-        assert closed_form_stern_value(FamilyDescriptor("odd", "O5"), n) == 377 == fib(14)
+        rows12, rows13 = list(kbit_rows(12)), list(kbit_rows(13))
+        assert rows12[0][1] == 157
+        assert rows12[-1][1] == 233 == fib(13)
+        assert rows13[-1][1] == 377 == fib(14)
         assert stern_a(2219) == 157
         assert stern_a(5461) == 377
 
-    def test_stern_value_rejects_negative_fibonacci_indices(self):
-        for descriptor, n in [
-            (FamilyDescriptor("odd", "O1"), 1),
-            (FamilyDescriptor("odd", "O2"), 3),
-            (FamilyDescriptor("even", "E3"), -1),
-        ]:
-            with pytest.raises(ValueError):
-                closed_form_stern_value(descriptor, n)
-        o2 = FamilyDescriptor("odd", "O2")
-        assert closed_form_stern_value(o2, 4) == stern_a(int(render_bits(o2, 4), 2)) == 34
-
-    @pytest.mark.parametrize("k", range(12, 65))
+    @pytest.mark.parametrize("k", range(12, 301))
     def test_index_formula_matches_rendering(self, k):
-        n = k // 2
-        for descriptor in family_descriptors(k):
-            assert closed_form_index(descriptor, n) == int(render_bits(descriptor, n), 2)
+        # Each row's family bit pattern is its index formula's value in binary.
+        for index, _, family, p in kbit_rows(k):
+            assert family.bits(k // 2, p) == format(index, "b")
 
     @pytest.mark.parametrize("k", range(12, 41))
     def test_stern_value_formula_matches_matrix_calculus(self, k):
         # Large-k oracle: a(v) = s(v-1) = G(binary(v-1)) via the
-        # transfer-matrix product, no scan involved.
-        n = k // 2
-        for descriptor in family_descriptors(k):
-            index = int(render_bits(descriptor, n), 2)
-            assert closed_form_stern_value(descriptor, n) == g_value(format(index - 1, "b"))
+        # transfer-matrix product, no scan involved; v is read off the
+        # family's bit pattern, not its index formula.
+        for _, value, family, p in kbit_rows(k):
+            index = int(family.bits(k // 2, p), 2)
+            assert value == g_value(format(index - 1, "b"))
 
 
 class TestGenerateKbit:
@@ -161,23 +152,21 @@ class TestGenerateKbit:
             ("10011", 19, 7),
             ("10101", 21, 8),
         ]
-        assert entries[0].descriptor is None
+        assert next(kbit_rows(5))[2:] == (None, None)
 
     def test_twelve_bits(self):
         entries = generate_kbit(12)
         assert len(entries) == 8
         assert (entries[0].bits, entries[0].index) == ("100010101011", 2219)
         assert (entries[-1].bits, entries[-1].index) == ("101010101011", 2731)
-        assert entries[0].descriptor.family_id == "E1"
-        assert entries[-1].descriptor.family_id == "E3"
+        assert [family_id for family_id, _ in _runs(12)] == ["E1", "E2", "E3"]
 
     def test_thirteen_bits(self):
         entries = generate_kbit(13)
         assert len(entries) == 10
         assert entries[0].bits == "1000101010101"
-        assert entries[0].descriptor.family_id == "O1"
         assert entries[-1].index == 5461
-        assert entries[-1].descriptor.family_id == "O5"
+        assert [family_id for family_id, _ in _runs(13)] == ["O1", "O2", "O3", "O4", "O5"]
 
     @pytest.mark.parametrize("k", range(12, 65))
     def test_structural_invariants(self, k):
@@ -189,12 +178,23 @@ class TestGenerateKbit:
 
     @pytest.mark.parametrize("k", [1000, 1001])
     def test_deep_row_values_match_recurrence(self, k):
-        # Independent of the table: the recurrence on each index, and the
-        # single-descriptor path with a table of its own.
-        n = k // 2
+        # Independent of the table: the recurrence on each index.  The
+        # rows must not depend on the table size either: k's rows read
+        # from tables built for 3k equal those from tables built for k.
         for entry in generate_kbit(k):
             assert entry.value == stern_a(entry.index)
-            assert closed_form_stern_value(entry.descriptor, n) == entry.value
+        (k_read, rows), _ = kbit_listing((k, 3 * k))
+        assert k_read == k
+        assert list(rows) == list(kbit_rows(k))
+
+    def test_decimal_rows_do_not_depend_on_table_size(self):
+        # `sternseq records` reads decimal tables built for its longest bit length.
+        k = 101
+        with decimal.localcontext(_EXACT):
+            (_, rows), _ = kbit_listing((k, 3 * k), Decimal(1))
+            rows = list(rows)
+            assert rows == list(kbit_rows(k, Decimal(1))) == list(kbit_rows(k))
+        assert {type(n) for index, value, _, _ in rows for n in (index, value)} == {Decimal}
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -220,14 +220,6 @@ class TestGenerateKbit:
         for one in (1, Decimal(1)):
             with pytest.raises(RuntimeError, match="out of order or outside k bits"):
                 list(kbit_rows(14, one))
-
-    def test_row_bits_equal_render_bits(self):
-        # The rows carry no checked descriptor: their bits must still be
-        # the rendered pattern of generate_kbit's descriptor, and the index.
-        for k in range(12, 301):
-            n = k // 2
-            for (index, _, family, p), entry in zip(kbit_rows(k), generate_kbit(k), strict=True):
-                assert family.bits(n, p) == render_bits(entry.descriptor, n) == format(index, "b")
 
     @pytest.mark.parametrize("k, expected", [(12, 8), (13, 10), (7, 5), (1, 1), (11, 8)])
     def test_count_kbit(self, k, expected):
