@@ -34,7 +34,7 @@ from .closedform import CLOSED_FORM_MIN_BITS, kbit_listing, kbit_rows
 from .core import hyperbinary_count_dp, stern_a, stern_range, stern_s
 from .records import check_scan_budget, records_in_bitlength, records_scan
 from .strings import g_value
-from .tables import FIRST_RECORDS, SMALL_BITLENGTH_MAX
+from .tables import FIRST_RECORDS, FIRST_RECORDS_BITS, SMALL_BITLENGTH_MAX
 from .verify import SCAN_BITS, SUITES
 
 EXIT_OK = 0
@@ -226,14 +226,16 @@ def cmd_records(args) -> int:
 
 
 def _decimal_lines(columns, sep: str) -> str:
-    """Equal-length, non-empty columns of non-negative int64 as text, one line per row.
+    """Equal-length, non-empty columns of non-negative integers as text, one line per row.
 
-    All lines are laid out in one byte matrix: each column gets as many
-    digit positions as its largest number has digits, filled from the
-    right by division by 10, then one position for ``sep`` (a newline
-    after the last column).  A mask keeps each number's digits from its
-    leading one on, and its last digit, so 0 is "0"; the masked bytes
-    in row-major order are the lines.
+    Each column is a numpy integer array of its own width (``plot`` puts
+    int64 indices beside values in their narrowest cells).  All lines are
+    laid out in one byte matrix: each column gets as many digit positions
+    as its largest number has digits, filled from the right by division by
+    10, then one position for ``sep`` (a newline after the last column).
+    A mask keeps each number's digits from its leading one on, and its
+    last digit, so 0 is "0"; the masked bytes in row-major order are the
+    lines.
     """
     import numpy as np
 
@@ -265,7 +267,7 @@ def cmd_plot(args) -> int:
     with _output(args.output) as out:
         for lo in range(0, args.max + 1, _PLOT_CHUNK):
             hi = min(lo + _PLOT_CHUNK, args.max + 1)
-            values = stern_range(lo, hi, np.int64)
+            values = stern_range(lo, hi)
             running = np.maximum.accumulate(values)
             np.maximum(running, top, out=running)
             top = running[-1]
@@ -278,7 +280,7 @@ def cmd_table(args) -> int:
         for n in range(16):
             print(n, stern_a(n))
     elif args.which == 2:
-        for i, record in enumerate(records_scan(8, "A")[: len(FIRST_RECORDS)]):
+        for i, record in enumerate(records_scan(FIRST_RECORDS_BITS, "A")[: len(FIRST_RECORDS)]):
             print(i, record.index, record.value)
     else:
         for k in range(1, SMALL_BITLENGTH_MAX + 1):

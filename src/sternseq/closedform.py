@@ -136,6 +136,8 @@ class _Lucas:
         self.F = F
 
     def __getitem__(self, i: int):
+        if i < 1:  # F[i - 1] would wrap to the end of the table
+            raise IndexError(f"Lucas index {i} is below the table")
         F = self.F
         return F[i - 1] + F[i + 1]
 

@@ -136,9 +136,11 @@ def _cell_dtype(bits: int) -> np.dtype:
     return dtype
 
 
-def stern_range(lo: int, hi: int, dtype: np.dtype | type | None = None) -> np.ndarray:
-    """Dense array of ``a(n)`` for ``lo <= n < hi``.
+def stern_range(lo: int, hi: int) -> np.ndarray:
+    """Dense array of ``a(n)`` for ``lo <= n < hi``, in the narrowest exact cells.
 
+    The cells are chosen by the bit length of ``hi - 1``: ``uint32`` up to
+    45 bits, ``uint64`` up to 91, Python ints beyond (see :func:`_cell_dtype`).
     Computed by recursive descent on the parent range
     ``[lo//2, hi//2]`` (even indices copy their parent, odd indices sum
     adjacent parents), so a chunk of any row costs O(chunk + log hi)
@@ -148,15 +150,14 @@ def stern_range(lo: int, hi: int, dtype: np.dtype | type | None = None) -> np.nd
 
     if lo < 0 or hi < lo:
         raise ValueError(f"invalid index range [{lo}, {hi})")
-    if dtype is None:
-        dtype = _cell_dtype(max(hi - 1, 1).bit_length())
-    dtype = np.dtype(dtype)
+    dtype = _cell_dtype(max(hi - 1, 1).bit_length())
     length = hi - lo
     if length == 0:
         return np.empty(0, dtype=dtype)
     if hi <= 16 or length <= 8:
         return np.array([stern_a(n) for n in range(lo, hi)], dtype=dtype)
-    parents = stern_range(lo // 2, hi // 2 + 1, dtype)
+    # The parents may sit in narrower cells; widen them before summing.
+    parents = stern_range(lo // 2, hi // 2 + 1).astype(dtype, copy=False)
     out = np.empty(length, dtype=dtype)
     n_even_first = (hi - lo + 1) // 2  # count of positions with i even
     n_odd_first = (hi - lo) // 2

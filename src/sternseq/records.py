@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Literal
 
 from .budget import check_bits_budget
-from .core import _cell_dtype, stern_range
+from .core import stern_range
 from .fibonacci import fib
 from .strings import Comparator, dominates, g_value, mu_of
 
@@ -86,11 +86,10 @@ def _records_scan_cached(k_max: int) -> tuple[RecordSetter, ...]:
     import numpy as np
 
     records = [RecordSetter(0, 0)]
-    dtype = _cell_dtype(k_max)
     top = 0  # the largest value before the chunk
     hi = 1 << k_max
     for lo in range(1, hi, _SCAN_CHUNK):
-        vals = stern_range(lo, min(lo + _SCAN_CHUNK, hi), dtype)
+        vals = stern_range(lo, min(lo + _SCAN_CHUNK, hi))
         if vals.max() <= top:
             continue
         if vals[0] > top:
@@ -200,16 +199,15 @@ def audit_substring_properties(k_max: int) -> AuditReport:
 class DominanceWitness:
     """A pinned replacement argument: ``smaller`` dominates ``excluded``.
 
-    ``pinned_smaller``/``pinned_excluded`` freeze the compared matrix
-    data: full rows for INFIX, the reachable row ``(G(x), G(x''))`` for
-    PREFIX, the reachable column ``(G(x), G(x'))`` for SUFFIX.
+    ``pinned_smaller``/``pinned_excluded`` freeze the entries of each
+    string's matrix that ``kind`` compares (:meth:`Comparator.entries`).
     """
 
     kind: Comparator
     smaller: str
     excluded: str
-    pinned_smaller: tuple
-    pinned_excluded: tuple
+    pinned_smaller: tuple[int, ...]
+    pinned_excluded: tuple[int, ...]
 
 
 _INF, _PRE, _SUF = Comparator.INFIX, Comparator.PREFIX, Comparator.SUFFIX
@@ -220,38 +218,23 @@ _INF, _PRE, _SUF = Comparator.INFIX, Comparator.PREFIX, Comparator.SUFFIX
 #: the value, so it never sets a record.  A witness need not satisfy the
 #: exclusions itself (one of them contains "110").
 DOMINANCE_WITNESSES: tuple[DominanceWitness, ...] = (
-    DominanceWitness(_INF, "101", "111", ((2, 3), (1, 2)), ((1, 3), (0, 1))),
+    DominanceWitness(_INF, "101", "111", (2, 3, 1, 2), (1, 3, 0, 1)),
     DominanceWitness(_SUF, "10100", "11010", (8, 5), (8, 3)),
     DominanceWitness(_PRE, "1010", "10000", (5, 3), (5, 1)),
-    DominanceWitness(_INF, "1000100", "1010000", ((14, 5), (11, 4)), ((14, 3), (9, 2))),
-    DominanceWitness(_INF, "10001000", "10010000", ((19, 5), (15, 4)), ((19, 4), (14, 3))),
-    DominanceWitness(_INF, "10010010", "100010000", ((26, 15), (19, 11)), ((24, 5), (19, 4))),
-    DominanceWitness(_INF, "100100", "101000", ((11, 4), (8, 3)), ((11, 3), (7, 2))),
-    DominanceWitness(_INF, "100100100", "101001000", ((41, 15), (30, 11)), ((41, 11), (26, 7))),
-    DominanceWitness(_INF, "1000101010", "1001001000", ((60, 37), (47, 29)), ((56, 15), (41, 11))),
-    DominanceWitness(
-        _INF, "10000101010", "10001001000", ((73, 45), (60, 37)), ((71, 19), (56, 15))
-    ),
-    DominanceWitness(_INF, "100011010", "100100010", ((35, 22), (27, 17)), ((34, 19), (25, 14))),
-    DominanceWitness(_INF, "1000101010", "1001000100", ((60, 37), (47, 29)), ((53, 19), (39, 14))),
-    DominanceWitness(
-        _INF, "1001010100", "10010001000", ((76, 29), (55, 21)), ((72, 19), (53, 14))
-    ),
+    DominanceWitness(_INF, "1000100", "1010000", (14, 5, 11, 4), (14, 3, 9, 2)),
+    DominanceWitness(_INF, "10001000", "10010000", (19, 5, 15, 4), (19, 4, 14, 3)),
+    DominanceWitness(_INF, "10010010", "100010000", (26, 15, 19, 11), (24, 5, 19, 4)),
+    DominanceWitness(_INF, "100100", "101000", (11, 4, 8, 3), (11, 3, 7, 2)),
+    DominanceWitness(_INF, "100100100", "101001000", (41, 15, 30, 11), (41, 11, 26, 7)),
+    DominanceWitness(_INF, "1000101010", "1001001000", (60, 37, 47, 29), (56, 15, 41, 11)),
+    DominanceWitness(_INF, "10000101010", "10001001000", (73, 45, 60, 37), (71, 19, 56, 15)),
+    DominanceWitness(_INF, "100011010", "100100010", (35, 22, 27, 17), (34, 19, 25, 14)),
+    DominanceWitness(_INF, "1000101010", "1001000100", (60, 37, 47, 29), (53, 19, 39, 14)),
+    DominanceWitness(_INF, "1001010100", "10010001000", (76, 29, 55, 21), (72, 19, 53, 14)),
     DominanceWitness(_PRE, "1010010", "10001000", (19, 11), (19, 5)),
-    DominanceWitness(_INF, "101010100", "1010001000", ((55, 21), (34, 13)), ((53, 14), (34, 9))),
-    DominanceWitness(
-        _INF, "10001010100", "100010001000", ((97, 37), (76, 29)), ((91, 24), (72, 19))
-    ),
+    DominanceWitness(_INF, "101010100", "1010001000", (55, 21, 34, 13), (53, 14, 34, 9)),
+    DominanceWitness(_INF, "10001010100", "100010001000", (97, 37, 76, 29), (91, 24, 72, 19)),
 )
-
-
-def _compared_part(kind: Comparator, x: str) -> tuple:
-    m = mu_of(x)
-    if kind is Comparator.INFIX:
-        return m.rows
-    if kind is Comparator.PREFIX:
-        return (m.g, m.g_dp)
-    return (m.g, m.g_p)
 
 
 def verify_dominance_witnesses() -> AuditReport:
@@ -259,9 +242,9 @@ def verify_dominance_witnesses() -> AuditReport:
     violations: list[tuple[int, str]] = []
     for w in DOMINANCE_WITNESSES:
         label = f"{w.smaller}-vs-{w.excluded}"
-        if _compared_part(w.kind, w.smaller) != w.pinned_smaller:
+        if w.kind.entries(mu_of(w.smaller)) != w.pinned_smaller:
             violations.append((int(w.smaller, 2), f"pinned-matrix-{label}"))
-        if _compared_part(w.kind, w.excluded) != w.pinned_excluded:
+        if w.kind.entries(mu_of(w.excluded)) != w.pinned_excluded:
             violations.append((int(w.excluded, 2), f"pinned-matrix-{label}"))
         if not dominates(w.kind, w.smaller, w.excluded):
             violations.append((int(w.excluded, 2), f"no-dominance-{label}"))

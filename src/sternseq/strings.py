@@ -22,8 +22,8 @@ strings:
   the version of ``x`` that has received a broken unit from the left.
 
 ``mu(xy) = mu(x) * mu(y)``, which turns substring replacement arguments
-into entrywise matrix comparisons; the three dominance relations
-(infix/suffix/prefix) are exposed through :func:`dominates`.
+into entrywise matrix comparisons: :func:`dominates` compares the
+entries that a :class:`Comparator` (infix, suffix or prefix) selects.
 
 Digits 2 and 3 only ever arise inside the transforms: 3 marks a digit
 that must still break, and 4 (a digit broken twice) is impossible, so
@@ -79,9 +79,9 @@ def _check_digits(x: str) -> None:
         raise ValueError(f"digit string may only contain 0-3, got {bad} in {x!r}")
 
 
-def _check_binary(x: str, what: str = "string") -> None:
+def _check_binary(x: str) -> None:
     if x.strip("01"):
-        raise ValueError(f"{what} must be binary (digits 0/1 only), got {x!r}")
+        raise ValueError(f"string must be binary (digits 0/1 only), got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -108,15 +108,6 @@ class Mat2:
     @property
     def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
         return ((self.g, self.g_dp), (self.g_p, self.g_p_dp))
-
-    def dominates(self, other: "Mat2") -> bool:
-        """Entrywise ``self >= other``."""
-        return (
-            self.g >= other.g
-            and self.g_dp >= other.g_dp
-            and self.g_p >= other.g_p
-            and self.g_p_dp >= other.g_p_dp
-        )
 
 
 def mu_of(x: str) -> Mat2:
@@ -225,33 +216,36 @@ def g_split(x: str, y: str) -> int:
 class Comparator(enum.Enum):
     """Dominance relations justifying substring replacements.
 
-    ``INFIX`` compares whole matrices, ``SUFFIX`` only the reachable
-    column (right boundary fixed), ``PREFIX`` only the reachable row
-    (left boundary fixed).  Infix dominance implies the other two.
+    Each compares the entries of ``mu(x)`` that :meth:`entries` selects:
+    ``INFIX`` the whole matrix ``(G(x), G(x''), G(x'), G((x')''))``,
+    ``SUFFIX`` the reachable column ``(G(x), G(x'))`` (right boundary
+    fixed), ``PREFIX`` the reachable row ``(G(x), G(x''))`` (left boundary
+    fixed).  Infix dominance implies the other two.
     """
 
     INFIX = "infix"
     SUFFIX = "suffix"
     PREFIX = "prefix"
 
+    def entries(self, m: Mat2) -> tuple[int, ...]:
+        """The entries of ``m`` this relation compares, in the order listed above."""
+        if self is Comparator.INFIX:
+            return (m.g, m.g_dp, m.g_p, m.g_p_dp)
+        if self is Comparator.SUFFIX:
+            return (m.g, m.g_p)
+        return (m.g, m.g_dp)
+
 
 def dominates(kind: Comparator, t: str, y: str) -> bool:
-    """Whether ``t`` dominates ``y`` under the given comparator.
+    """Whether ``t`` dominates ``y``: each entry ``kind`` compares is at least as large.
 
-    Entrywise comparison of ``mu(t)`` against ``mu(y)`` (INFIX), of
-    their first columns ``mu(.) @ (1, 0)`` (SUFFIX), or of their first
-    rows ``(1, 0) @ mu(.)`` (PREFIX).  Only the matrix inequality is
-    tested; callers combine it with ``[t]_2 < [y]_2`` when using it to
+    See :class:`Comparator` for the entries.  Only the matrix inequality
+    is tested; callers combine it with ``[t]_2 < [y]_2`` when using it to
     rule out record candidates.
     """
-    mt, my = mu_of(t), mu_of(y)
-    if kind is Comparator.INFIX:
-        return mt.dominates(my)
-    if kind is Comparator.SUFFIX:
-        return mt.g >= my.g and mt.g_p >= my.g_p
-    if kind is Comparator.PREFIX:
-        return mt.g >= my.g and mt.g_dp >= my.g_dp
-    raise TypeError(f"unknown comparator {kind!r}")
+    if not isinstance(kind, Comparator):
+        raise TypeError(f"unknown comparator {kind!r}")
+    return all(a >= b for a, b in zip(kind.entries(mu_of(t)), kind.entries(mu_of(y))))
 
 
 def delta(x: str) -> int:

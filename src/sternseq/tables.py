@@ -34,6 +34,9 @@ FIRST_RECORDS: tuple[tuple[int, int], ...] = (
     (147, 26),
 )
 
+#: The scan below ``2**FIRST_RECORDS_BITS`` holds every entry of ``FIRST_RECORDS``.
+FIRST_RECORDS_BITS = FIRST_RECORDS[-1][0].bit_length()
+
 #: Binary forms of all k-bit record-setters (a-convention) for k < 12.
 SMALL_BITLENGTH_RECORDS: dict[int, tuple[str, ...]] = {
     1: ("1",),

@@ -29,6 +29,7 @@ from .records import (
 from .strings import g_split, g_value, mu_of
 from .tables import (
     FIRST_RECORDS,
+    FIRST_RECORDS_BITS,
     INITIAL_VALUES,
     SMALL_BITLENGTH_MAX,
     SMALL_BITLENGTH_RECORDS,
@@ -39,9 +40,6 @@ __all__ = ["SCAN_BITS", "SUITES"]
 IDENTITY_SAMPLES = 10_000
 IDENTITY_SEED = 20220926
 
-#: The scan below ``2**8`` holds the reference list of first record-setters.
-_FIRST_RECORDS_BITS = 8
-
 
 def _tables(lo: int, hi: int) -> AuditReport:
     """The reference tables, with the per-bit-length table restricted to ``lo..hi``."""
@@ -51,7 +49,7 @@ def _tables(lo: int, hi: int) -> AuditReport:
         if stern_a(n) != expected
     ]
     checked = len(INITIAL_VALUES) + len(FIRST_RECORDS)
-    first = records_scan(_FIRST_RECORDS_BITS, "A")[: len(FIRST_RECORDS)]
+    first = records_scan(FIRST_RECORDS_BITS, "A")[: len(FIRST_RECORDS)]
     scanned = [(r.index, r.value) for r in first]
     if scanned != list(FIRST_RECORDS):
         violations.append((0, "first record-setters do not match the reference list"))
@@ -121,7 +119,7 @@ SUITES = {
 #: index below ``2**k``, or none when ``k`` is 0.
 SCAN_BITS = {
     "tables": lambda lo, hi: max(
-        [_FIRST_RECORDS_BITS, *range(lo, min(hi, SMALL_BITLENGTH_MAX) + 1)]
+        [FIRST_RECORDS_BITS, *range(lo, min(hi, SMALL_BITLENGTH_MAX) + 1)]
     ),
     "identities": lambda lo, hi: 0,
     "substrings": lambda lo, hi: hi,

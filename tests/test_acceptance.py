@@ -9,8 +9,6 @@ import random
 import resource
 import time
 
-import numpy as np
-
 from sternseq import (
     audit_substring_properties,
     fib,
@@ -94,7 +92,7 @@ def test_c04_classification_equivalence_to_24_bits(capsys):
 
 def test_c05_hyperbinary_equivalences(capsys):
     start = time.perf_counter()
-    shifted = stern_range(1, (1 << 16) + 1, np.int64)
+    shifted = stern_range(1, (1 << 16) + 1)
     ok = all(hyperbinary_count_dp(n) == int(shifted[n]) for n in range(1 << 16))
     ok = ok and all(
         len(hyperbinary_enumerate(n)) == int(shifted[n]) for n in range(4096 + 1)

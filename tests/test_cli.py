@@ -292,6 +292,17 @@ class TestPlot:
         rows = zip(*(column.tolist() for column in columns))
         assert cli._decimal_lines(columns, ";") == "".join(f"{a};{b};{c}\n" for a, b, c in rows)
         assert cli._decimal_lines([np.zeros(1, np.int64)], ",") == "0\n"
+        # Unsigned cells, and columns of different widths side by side, as plot writes them.
+        small = [0, 9, 10, 99, 100, 2**32 - 1, 2**32 - 1]
+        large = [0, 9, 10, 99, 100, 2**32 - 1, 2**64 - 1]
+        for columns in (
+            [np.array(small, np.uint32), np.array(small[::-1], np.uint32)],
+            [np.array(large, np.uint64), np.array(large[::-1], np.uint64)],
+            [np.arange(7, dtype=np.int64), np.array(small, np.uint32), np.array(large, np.uint64)],
+        ):
+            rows = zip(*(column.tolist() for column in columns))
+            expected = "".join(" ".join(map(str, row)) + "\n" for row in rows)
+            assert cli._decimal_lines(columns, " ") == expected
 
 
 #: sha256 of outputs taken before plot streamed in windows, jsonlines

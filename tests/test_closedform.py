@@ -69,6 +69,9 @@ class TestFibLucas:
                 assert P == [2**i for i in range(m + 1)]
                 assert F == [fib(i) for i in range(m + 1)]
                 assert [L[i] for i in range(1, m)] == [lucas(i) for i in range(1, m)]
+                for i in (0, -1, m):  # outside the table, without wrapping
+                    with pytest.raises(IndexError):
+                        L[i]
             assert {type(x) for x in P + F} == {type(one)}
 
 

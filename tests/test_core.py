@@ -18,6 +18,12 @@ from sternseq.tables import INITIAL_VALUES
 A_FIRST_16 = (0, 1, 1, 2, 1, 3, 2, 3, 1, 4, 3, 5, 2, 5, 3, 4)
 
 
+def _narrowest_cells(hi: int) -> np.dtype:
+    """The cells of ``stern_range(lo, hi)``: 32 bits below ``2**45``, 64 below ``2**91``."""
+    top = hi - 1
+    return np.dtype(np.uint32 if top < 2**45 else np.uint64 if top < 2**91 else object)
+
+
 class TestSternValues:
     def test_initial_values(self):
         assert tuple(stern_a(n) for n in range(16)) == A_FIRST_16
@@ -39,7 +45,7 @@ class TestSternValues:
         # Vectorized check of a(2n) = a(n), a(2n+1) = a(n) + a(n+1) on
         # 10**5 random n, against a dense table built independently of
         # the pairwise iteration in stern_a.
-        table = stern_range(0, 1 << 21, np.int64)
+        table = stern_range(0, 1 << 21)
         rng = np.random.default_rng(7)
         n = rng.integers(0, 1 << 20, size=100_000)
         assert np.array_equal(table[2 * n], table[n])
@@ -65,17 +71,19 @@ class TestSternRange:
         ],
     )
     def test_matches_scalar_values(self, lo, hi):
-        assert stern_range(lo, hi).tolist() == [stern_a(n) for n in range(lo, hi)]
+        window = stern_range(lo, hi)
+        assert window.tolist() == [stern_a(n) for n in range(lo, hi)]
+        assert window.dtype == _narrowest_cells(hi)
 
     @given(st.sampled_from([45, 91]), st.integers(-300, 300), st.integers(0, 300))
     @settings(max_examples=50, deadline=None)
     def test_windows_near_cell_width_boundaries(self, bits, offset, length):
-        # The default cells widen from 32 to 64 bits past 2**45 and to
+        # The cells widen from 32 to 64 bits past 2**45 and to
         # Python ints past 2**91; windows on either side and across agree.
         lo = 2**bits + offset
-        assert stern_range(lo, lo + length).tolist() == [
-            stern_a(n) for n in range(lo, lo + length)
-        ]
+        window = stern_range(lo, lo + length)
+        assert window.tolist() == [stern_a(n) for n in range(lo, lo + length)]
+        assert window.dtype == _narrowest_cells(lo + length)
 
     def test_empty_and_invalid(self):
         assert len(stern_range(5, 5)) == 0
@@ -86,7 +94,7 @@ class TestSternRange:
 
 
 def _row(k: int) -> np.ndarray:
-    """The row of all k-bit indices, ``a(2**(k-1)) .. a(2**k - 1)``, in default cells."""
+    """The row of all k-bit indices, ``a(2**(k-1)) .. a(2**k - 1)``."""
     return stern_range(1 << (k - 1), 1 << k)
 
 
@@ -164,8 +172,11 @@ class TestSternRow:
             stern_range(0, 100)
 
     def test_object_dtype_path(self):
-        # Arbitrary-precision cells remain exact.
-        assert stern_range(0, 64, object).tolist() == [stern_a(n) for n in range(64)]
+        # Past 91-bit indices the cells are Python ints, and remain exact.
+        lo = 2**100
+        window = stern_range(lo, lo + 64)
+        assert window.dtype == np.dtype(object)
+        assert window.tolist() == [stern_a(n) for n in range(lo, lo + 64)]
 
 
 class TestHyperbinaryEnumeration:
@@ -204,7 +215,7 @@ class TestHyperbinaryEnumeration:
         assert len(hyperbinary_enumerate(n)) == stern_s(n)
 
     def test_bulk_distinctness_and_evaluation(self):
-        s_values = stern_range(1, (1 << 12) + 1, np.int64)
+        s_values = stern_range(1, (1 << 12) + 1)
         for n in range(1 << 12):
             reprs = hyperbinary_enumerate(n)
             assert len(set(reprs)) == len(reprs) == int(s_values[n])
@@ -224,7 +235,7 @@ class TestHyperbinaryCountDp:
         assert hyperbinary_count_dp(n) == stern_s(n)
 
     def test_agrees_with_recurrence_bulk(self):
-        s_values = stern_range(1, (1 << 12) + 1, np.int64)
+        s_values = stern_range(1, (1 << 12) + 1)
         for n in range(1 << 12):
             assert hyperbinary_count_dp(n) == int(s_values[n])
 

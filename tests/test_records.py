@@ -177,16 +177,17 @@ class TestScanCells:
 
         from sternseq.core import _cell_dtype
 
-        asked = []
+        cells = []
         stern_range = records_module.stern_range
 
-        def spy(lo, hi, dtype=None):
-            asked.append(np.dtype(dtype))
-            return stern_range(lo, hi, dtype)
+        def spy(lo, hi):
+            window = stern_range(lo, hi)
+            cells.append(window.dtype)
+            return window
 
         monkeypatch.setattr(records_module, "stern_range", spy)
         records_scan(k, "A")
-        assert asked and set(asked) == {_cell_dtype(k)} == {np.dtype(np.uint32)}
+        assert cells and set(cells) == {_cell_dtype(k)} == {np.dtype(np.uint32)}
 
 
 class TestSubstringAudit:

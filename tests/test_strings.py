@@ -1,5 +1,7 @@
 """Tests for the digit-string calculus: matrices, transforms, comparators."""
 
+import dataclasses
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,8 @@ from sternseq import (
     prime,
     stern_s,
 )
+from sternseq import records
+from sternseq.cli import main
 from sternseq.records import DOMINANCE_WITNESSES, verify_dominance_witnesses
 
 binary_strings = st.text(alphabet="01", max_size=16)
@@ -197,6 +201,47 @@ class TestComparators:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
             dominates(Comparator.INFIX, "12", "10")
+
+    def test_rejects_a_kind_that_is_not_a_comparator(self):
+        with pytest.raises(TypeError):
+            dominates("infix", "101", "111")
+
+    @given(
+        kind=st.sampled_from(Comparator),
+        t=st.text(alphabet="01", max_size=14),
+        y=st.text(alphabet="01", max_size=14),
+    )
+    @settings(max_examples=500)
+    def test_compares_the_selected_paper_values(self, kind, t, y):
+        # The paper's values (G(x), G(x''), G(x'), G((x')'')), from the
+        # string transforms; each relation compares a fixed selection.
+        def values(x):
+            return (
+                g_value(x),
+                g_value(double_prime(x)),
+                g_value(prime(x)),
+                g_value(double_prime(prime(x))),
+            )
+
+        selected = {
+            Comparator.INFIX: (0, 1, 2, 3),
+            Comparator.SUFFIX: (0, 2),
+            Comparator.PREFIX: (0, 1),
+        }[kind]
+        vt, vy = values(t), values(y)
+        assert dominates(kind, t, y) == all(vt[i] >= vy[i] for i in selected)
+
+    @pytest.mark.parametrize("at", [0, 1, 2], ids=["infix", "suffix", "prefix"])
+    def test_corrupted_pin_is_reported(self, monkeypatch, capsys, at):
+        witness = DOMINANCE_WITNESSES[at]
+        pinned = (*witness.pinned_smaller[:-1], witness.pinned_smaller[-1] + 1)
+        corrupted = list(DOMINANCE_WITNESSES)
+        corrupted[at] = dataclasses.replace(witness, pinned_smaller=pinned)
+        monkeypatch.setattr(records, "DOMINANCE_WITNESSES", tuple(corrupted))
+        label = f"pinned-matrix-{witness.smaller}-vs-{witness.excluded}"
+        assert verify_dominance_witnesses().violations == [(int(witness.smaller, 2), label)]
+        assert main(["verify", "--suites", "identities"]) == 1
+        assert f"  FAIL: {label} (at {int(witness.smaller, 2)})" in capsys.readouterr().out
 
     @pytest.mark.parametrize("witness", DOMINANCE_WITNESSES, ids=lambda w: w.excluded)
     def test_pinned_witnesses(self, witness):
