@@ -225,35 +225,53 @@ def cmd_records(args) -> int:
     return EXIT_OK
 
 
-def _decimal_lines(columns, sep: str) -> str:
-    """Equal-length, non-empty columns of non-negative integers as text, one line per row.
+def _decimal_lines(columns, sep: str) -> bytes:
+    """Equal-length, non-empty columns of non-negative integers as ASCII lines, one per row.
 
     Each column is a numpy integer array of its own width (``plot`` puts
-    int64 indices beside values in their narrowest cells).  All lines are
-    laid out in one byte matrix: each column gets as many digit positions
-    as its largest number has digits, filled from the right by division by
-    10, then one position for ``sep`` (a newline after the last column).
-    A mask keeps each number's digits from its leading one on, and its
-    last digit, so 0 is "0"; the masked bytes in row-major order are the
-    lines.
+    int64 indices beside values in their narrowest cells).  The text is
+    laid out position-major: each column gets as many text positions as
+    its largest number has digits, then one for ``sep`` (a newline after
+    the last column), and each position is one contiguous byte row over
+    all the lines.  Digits are filled from the right by division by 10,
+    in uint32 when the column has at most 9 digits and in its own cells
+    otherwise.  A position left of a number's leading digit holds NUL,
+    and the last digit is always written, so 0 is "0".  A column that
+    changes value in fewer than a quarter of its rows (``plot``'s running
+    maximum) has only the first number of each run formatted, and each
+    position's bytes repeated over the run.  The lines are the bytes in
+    row-major order with every NUL deleted (no separator is NUL),
+    returned as ``bytes`` for a binary stream.
     """
     import numpy as np
 
+    rows = len(columns[0])
     widths = [len(str(int(column.max()))) for column in columns]
-    text = np.empty((len(columns[0]), sum(widths) + len(columns)), np.uint8)
-    keep = np.ones(text.shape, bool)
+    text = np.empty((sum(widths) + len(columns), rows), np.uint8)
     at = 0
     for i, (column, width) in enumerate(zip(columns, widths)):
+        changes = column[1:] != column[:-1]
+        runs = 4 * np.count_nonzero(changes) < rows
+        if runs:
+            starts = np.flatnonzero(np.concatenate(([True], changes)))
+            column = column[starts]
+        if width <= 9:
+            column = column.astype(np.uint32, copy=False)
+        digits = np.empty((width, len(column)), np.uint8) if runs else text[at : at + width]
         rest = column
-        for j in range(at + width - 1, at - 1, -1):
+        for j in range(width - 1, -1, -1):
             above = rest // 10
-            text[:, j] = rest - 10 * above + ord("0")
-            keep[:, j] = rest > 0
+            row = digits[j]
+            np.subtract(rest, 10 * above, out=row, casting="unsafe")
+            row += ord("0")
+            if j < width - 1:
+                row *= rest > 0  # NUL left of the leading digit
             rest = above
-        keep[:, at + width - 1] = True
-        text[:, at + width] = ord("\n" if i == len(columns) - 1 else sep)
+        if runs:
+            text[at : at + width] = np.repeat(digits, np.diff(starts, append=rows), axis=1)
+        text[at + width] = ord("\n" if i == len(columns) - 1 else sep)
         at += width + 1
-    return text[keep].tobytes().decode("ascii")
+    return text.T.tobytes().replace(b"\0", b"")
 
 
 def cmd_plot(args) -> int:
@@ -265,13 +283,15 @@ def cmd_plot(args) -> int:
     sep = "," if args.format == "csv" else " "
     top = 0  # the running maximum before the window
     with _output(args.output) as out:
+        out.flush()  # the windows go straight to the byte stream underneath
         for lo in range(0, args.max + 1, _PLOT_CHUNK):
             hi = min(lo + _PLOT_CHUNK, args.max + 1)
             values = stern_range(lo, hi)
             running = np.maximum.accumulate(values)
             np.maximum(running, top, out=running)
             top = running[-1]
-            out.write(_decimal_lines((np.arange(lo, hi, dtype=np.int64), values, running), sep))
+            columns = (np.arange(lo, hi, dtype=np.int64), values, running)
+            out.buffer.write(_decimal_lines(columns, sep))
     return EXIT_OK
 
 

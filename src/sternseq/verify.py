@@ -7,7 +7,8 @@
     identities  the transfer-matrix identities on seeded random strings, the
                 Fibonacci value identities and the pinned dominance witnesses
     substrings  the structural substring audit of all records below ``2**hi``
-    extremal    the exhaustive extremal lemmas about 10/100-block strings
+    extremal    the exhaustive extremal lemmas about 10/100-block strings of up
+                to about ``hi`` digits, and never fewer than 34
     crossval    the closed-form families against one brute-force scan
 """
 
@@ -111,7 +112,7 @@ SUITES = {
     "tables": lambda lo, hi: _tables(lo, hi),
     "identities": lambda lo, hi: _identities(),
     "substrings": lambda lo, hi: audit_substring_properties(hi),
-    "extremal": lambda lo, hi: verify_extremal_lemmas(8),
+    "extremal": lambda lo, hi: verify_extremal_lemmas(max(8, (hi - 2) // 4)),
     "crossval": lambda lo, hi: cross_validate(lo, hi),
 }
 

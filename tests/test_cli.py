@@ -13,6 +13,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sternseq import cli, count_kbit, fib, generate_kbit, stern_a
 from sternseq import closedform
@@ -237,6 +240,12 @@ class TestRecords:
         assert excinfo.value.code == 2
 
 
+def fstring_lines(columns, sep):
+    """The rows of numpy columns as f-string text, in ASCII bytes."""
+    rows = zip(*(column.tolist() for column in columns))
+    return "".join(sep.join(f"{x}" for x in row) + "\n" for row in rows).encode("ascii")
+
+
 class TestPlot:
     def test_sixteen_rows(self, capsys):
         code, out, _ = run(capsys, "plot", "--max", "15")
@@ -286,12 +295,25 @@ class TestPlot:
             expected.append(f"{n}{sep}{stern_a(n)}{sep}{top}\n")
         assert capsys.readouterr().out == "".join(expected)
 
+    def test_window_across_a_power_of_ten(self, capsys):
+        # With the default window, [65536, 131072) holds the indices on
+        # both sides of 10**5, so the index column grows a digit inside it.
+        assert cli._PLOT_CHUNK == 1 << 16
+        assert main(["plot", "--max", "100050"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 100051
+        top = max(stern_a(n) for n in range(99990))
+        expected = []
+        for n in range(99990, 100051):
+            top = max(top, stern_a(n))
+            expected.append(f"{n},{stern_a(n)},{top}")
+        assert lines[99990:] == expected
+
     def test_decimal_lines_match_fstrings(self):
         numbers = [0, 9, 10, 99, 100, 2**63 - 1]
         columns = [np.array(c, np.int64) for c in (numbers, numbers[::-1], [0] * len(numbers))]
-        rows = zip(*(column.tolist() for column in columns))
-        assert cli._decimal_lines(columns, ";") == "".join(f"{a};{b};{c}\n" for a, b, c in rows)
-        assert cli._decimal_lines([np.zeros(1, np.int64)], ",") == "0\n"
+        assert cli._decimal_lines(columns, ";") == fstring_lines(columns, ";")
+        assert cli._decimal_lines([np.zeros(1, np.int64)], ",") == b"0\n"
         # Unsigned cells, and columns of different widths side by side, as plot writes them.
         small = [0, 9, 10, 99, 100, 2**32 - 1, 2**32 - 1]
         large = [0, 9, 10, 99, 100, 2**32 - 1, 2**64 - 1]
@@ -300,9 +322,36 @@ class TestPlot:
             [np.array(large, np.uint64), np.array(large[::-1], np.uint64)],
             [np.arange(7, dtype=np.int64), np.array(small, np.uint32), np.array(large, np.uint64)],
         ):
-            rows = zip(*(column.tolist() for column in columns))
-            expected = "".join(" ".join(map(str, row)) + "\n" for row in rows)
-            assert cli._decimal_lines(columns, " ") == expected
+            assert cli._decimal_lines(columns, " ") == fstring_lines(columns, " ")
+        # Columns that change value in fewer than a quarter of their rows,
+        # as plot's running maximum does: one constant, one of three runs.
+        for dtype in (np.int64, np.uint32, np.uint64):
+            constant = np.full(20, 99, dtype)
+            three_runs = np.array([0] * 5 + [9] * 10 + [np.iinfo(dtype).max] * 5, dtype)
+            columns = [np.arange(20, dtype=np.int64), constant, three_runs]
+            assert cli._decimal_lines(columns, ",") == fstring_lines(columns, ",")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_decimal_lines_property(self, data):
+        rows = data.draw(st.integers(1, 300), label="rows")
+        columns = []
+        for _ in range(data.draw(st.integers(1, 3), label="columns")):
+            dtype = data.draw(st.sampled_from([np.uint32, np.uint64, np.int64]))
+            top = int(np.iinfo(dtype).max)
+            value = st.one_of(st.sampled_from([0, top]), st.integers(0, top))
+            if data.draw(st.booleans(), label="non-decreasing with repeats"):
+                # Up to four runs, the columns that are formatted run by run.
+                distinct = sorted(data.draw(st.lists(value, min_size=1, max_size=4)))
+                cuts = data.draw(st.lists(st.integers(0, rows), min_size=len(distinct) - 1,
+                                          max_size=len(distinct) - 1))
+                lengths = np.diff([0, *sorted(cuts), rows])
+                column = np.repeat(np.array(distinct, dtype), lengths)
+            else:  # dense at random
+                column = data.draw(arrays(dtype, rows, elements=value))
+            columns.append(column)
+        sep = data.draw(st.sampled_from([",", " "]))
+        assert cli._decimal_lines(columns, sep) == fstring_lines(columns, sep)
 
 
 #: sha256 of outputs taken before plot streamed in windows, jsonlines
@@ -442,6 +491,16 @@ class TestVerify:
             "extremal    PASS  checked=846",
             "crossval    PASS  checked=14",
         ]
+
+    def test_extremal_suite_follows_k_range(self, capsys):
+        checked = {}
+        for k_range in ("12..24", "12..66"):
+            code, out, _ = run(capsys, "verify", "--k-range", k_range, "--suites", "extremal")
+            assert code == EXIT_OK
+            assert len(out) == 1 and out[0].startswith("extremal    PASS  checked=")
+            checked[k_range] = int(out[0].rpartition("=")[2])
+        assert checked["12..24"] == 846  # the 34-digit floor, as for 1..14
+        assert checked["12..66"] > checked["12..24"]
 
     def test_tables_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--k-range", "1..11", "--suites", "tables")
