@@ -20,8 +20,6 @@ import os
 import sys
 from contextlib import contextmanager, nullcontext
 from functools import partial
-from itertools import groupby
-from operator import attrgetter
 
 from .budget import (
     DEFAULT_MAX_BITS,
@@ -30,9 +28,9 @@ from .budget import (
     check_bits_budget,
     memory_ceiling_bits,
 )
-from .closedform import CLOSED_FORM_MIN_BITS, kbit_listing, kbit_rows
+from .closedform import kbit_listing, scan_listing
 from .core import hyperbinary_count_dp, stern_a, stern_range, stern_s
-from .records import check_scan_budget, records_in_bitlength, records_scan
+from .records import check_scan_budget, records_scan
 from .strings import g_value
 from .tables import FIRST_RECORDS, FIRST_RECORDS_BITS, SMALL_BITLENGTH_MAX
 from .verify import SCAN_BITS, SUITES
@@ -158,25 +156,6 @@ def parse_bfile(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def _scanned(k_values: range):
-    """The scanned listing of the "A" bit lengths ``k_values``, with each row's family.
-
-    The scan, with its ceiling check, runs on the call, before any output is opened.
-    """
-    records = records_scan(k_values.stop - 1, "A")
-    patterns = {
-        index: (family, parameter)
-        for k in k_values
-        if k >= CLOSED_FORM_MIN_BITS
-        for index, _, family, parameter in kbit_rows(k)
-    }
-    return (
-        (k, ((r.index, r.value, *patterns.get(r.index, (None, None))) for r in group))
-        for k, group in groupby(records, attrgetter("bit_length"))
-        if k in k_values
-    )
-
-
 def _closed_form(k_values: range):
     """The closed-form listing of the bit lengths ``k_values`` in exact decimal.
 
@@ -218,7 +197,7 @@ def cmd_records(args) -> int:
     # index 1 moves to s-index 0, which has no bits, so --bits 1 lists nothing.
     shifted = args.convention == "S"
     lo = max(k, 1 + shifted) if exact_bits else int(shifted)
-    source = _scanned if args.source == "scan" else _closed_form
+    source = scan_listing if args.source == "scan" else _closed_form
     lines = format_records(source(range(lo, k + 1)), args.format, args.convention)
     with _output(args.output) as out:
         out.writelines(lines)
@@ -283,7 +262,8 @@ def cmd_plot(args) -> int:
     sep = "," if args.format == "csv" else " "
     top = 0  # the running maximum before the window
     with _output(args.output) as out:
-        out.flush()  # the windows go straight to the byte stream underneath
+        out.flush()  # the windows go straight to the byte stream underneath, if there is one
+        write = out.buffer.write if hasattr(out, "buffer") else lambda b: out.write(b.decode())
         for lo in range(0, args.max + 1, _PLOT_CHUNK):
             hi = min(lo + _PLOT_CHUNK, args.max + 1)
             values = stern_range(lo, hi)
@@ -291,7 +271,7 @@ def cmd_plot(args) -> int:
             np.maximum(running, top, out=running)
             top = running[-1]
             columns = (np.arange(lo, hi, dtype=np.int64), values, running)
-            out.buffer.write(_decimal_lines(columns, sep))
+            write(_decimal_lines(columns, sep))
     return EXIT_OK
 
 
@@ -303,9 +283,9 @@ def cmd_table(args) -> int:
         for i, record in enumerate(records_scan(FIRST_RECORDS_BITS, "A")[: len(FIRST_RECORDS)]):
             print(i, record.index, record.value)
     else:
-        for k in range(1, SMALL_BITLENGTH_MAX + 1):
-            for record in records_in_bitlength(k, "A"):
-                print(k, record.bits, record.index)
+        for k, rows in scan_listing(range(1, SMALL_BITLENGTH_MAX + 1)):
+            for index, *_ in rows:
+                print(k, format(index, "b"), index)
     return EXIT_OK
 
 

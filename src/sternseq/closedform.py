@@ -32,9 +32,10 @@ family at a time, and checks that every index exceeds the last and has
 one pair of tables built for the longest; ``sternseq records`` asks for
 them in exact decimal, so it never converts an index from binary to
 decimal text.  :func:`generate_kbit` lists the int rows as
-:class:`~sternseq.records.RecordSetter` records.  :func:`cross_validate`
-checks a range of bit lengths against one brute-force scan, and each
-index formula against its family's bit pattern.
+:class:`~sternseq.records.RecordSetter` records.  :func:`scan_listing`
+lists one brute-force scan in the same shape, the one place that splits
+it by bit length; :func:`cross_validate` compares it with the closed
+forms, and each index formula with its family's bit pattern.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ from .core import stern_a
 from .records import AuditReport, RecordSetter, records_scan
 from .tables import SMALL_BITLENGTH_MAX, SMALL_BITLENGTH_RECORDS
 
-__all__ = ["count_kbit", "cross_validate", "generate_kbit", "kbit_listing", "kbit_rows"]
-
-CLOSED_FORM_MIN_BITS = SMALL_BITLENGTH_MAX + 1
+__all__ = [
+    "count_kbit", "cross_validate", "generate_kbit", "kbit_listing", "kbit_rows", "scan_listing"
+]
 
 
 def _exact_third(numerator):
@@ -232,34 +233,52 @@ def generate_kbit(k: int) -> list[RecordSetter]:
     return [RecordSetter(i, v) for i, v, _, _ in kbit_rows(k)]
 
 
+def scan_listing(k_values: range):
+    """The scan as ``(k, rows)`` for each ``k`` in ``k_values``, as :func:`kbit_listing` lists.
+
+    The one :func:`~sternseq.records.records_scan` runs on the call, with
+    its ceiling check, and none runs for an empty range.  ``rows`` lists
+    the ``(index, value, family, parameter)`` of the "A" record-setters of
+    ``k`` bits, maybe none; a row has the family and parameter of the
+    :func:`kbit_rows` row with its index, or ``None``, as below 12 bits.
+    """
+    found = {k: [] for k in k_values}
+    for r in records_scan(k_values[-1], "A") if k_values else ():
+        if r.bit_length in found:
+            found[r.bit_length].append(r)
+
+    def listing():
+        for k, records in found.items():
+            rows = kbit_rows(k) if k > SMALL_BITLENGTH_MAX else ()
+            families = {index: (family, p) for index, _, family, p in rows}
+            yield k, [(r.index, r.value, *families.get(r.index, (None, None))) for r in records]
+
+    return listing()
+
+
 def cross_validate(lo: int, hi: int) -> AuditReport:
     """Compare the closed forms for ``lo..hi`` bits against one brute-force scan.
 
-    The records of a single scan below ``2**hi`` are grouped by bit
-    length, and each group must equal the rows of :func:`kbit_rows`
-    element-wise in index and Stern value.  From 12 bits on, each row's
-    index must also be its family's bit pattern read in binary.
-    Violations are keyed by the scanned index, the pattern's index for a
-    formula mismatch, or the first index of the bit length for a count
-    mismatch; ``checked_count`` is the number of bit lengths.
+    Each bit length of :func:`scan_listing` must equal the rows of
+    :func:`kbit_rows` element-wise in index and Stern value.  From 12
+    bits on, each row's index must also be its family's bit pattern read
+    in binary.  Violations are keyed by the scanned index, the pattern's
+    index for a formula mismatch, or the first index of the bit length
+    for a count mismatch; ``checked_count`` is the number of bit lengths.
     """
     if lo < 1 or hi < lo:
         raise ValueError(f"bit-length range must satisfy 1 <= lo <= hi, got {lo}..{hi}")
-    scanned: dict[int, list[RecordSetter]] = {k: [] for k in range(lo, hi + 1)}
-    for record in records_scan(hi, "A"):
-        if record.bit_length >= lo:
-            scanned[record.bit_length].append(record)
     violations: list[tuple[int, str]] = []
-    for k, found in scanned.items():
+    for k, found in scan_listing(range(lo, hi + 1)):
         expected = list(kbit_rows(k))
         if len(expected) != len(found):
             count = f"{len(expected)} by closed form, {len(found)} by scan"
             violations.append((1 << (k - 1), f"{k}-bit record-setters: {count}"))
-        for (index, value, _, _), record in zip(expected, found):
-            if index != record.index:
-                violations.append((record.index, f"closed form gives index {index}"))
-            elif value != record.value:
-                violations.append((record.index, f"closed form gives value {value}"))
+        for (index, value, _, _), (at, scanned, _, _) in zip(expected, found):
+            if index != at:
+                violations.append((at, f"closed form gives index {index}"))
+            elif value != scanned:
+                violations.append((at, f"closed form gives value {value}"))
         for index, _, family, p in expected:  # from 12 bits on: the formula, keyed at its pattern
             if family is not None and (at := int(family.bits(k // 2, p), 2)) != index:
                 violations.append((at, f"{family.family_id}({p}) formula gives {index}"))

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import random
 
-from .closedform import cross_validate
+from .closedform import cross_validate, scan_listing
 from .core import stern_a, stern_s
 from .fibonacci import fib
 from .records import (
     AuditReport,
     audit_substring_properties,
-    records_in_bitlength,
     records_scan,
     verify_dominance_witnesses,
     verify_extremal_lemmas,
@@ -54,8 +53,8 @@ def _tables(lo: int, hi: int) -> AuditReport:
     scanned = [(r.index, r.value) for r in first]
     if scanned != list(FIRST_RECORDS):
         violations.append((0, "first record-setters do not match the reference list"))
-    for k in range(lo, min(hi, SMALL_BITLENGTH_MAX) + 1):
-        found = tuple(r.bits for r in records_in_bitlength(k, "A"))
+    for k, rows in scan_listing(range(lo, min(hi, SMALL_BITLENGTH_MAX) + 1)):
+        found = tuple(format(index, "b") for index, *_ in rows)
         checked += len(found)
         if found != SMALL_BITLENGTH_RECORDS[k]:
             violations.append(

@@ -1,8 +1,10 @@
 """Tests for the command-line interface and its output formats."""
 
+import contextlib
 import decimal
 import errno
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -197,8 +199,8 @@ class TestRecords:
         listing = [
             (k, list(rows))  # each listing read while it is current, as format_records reads it
             for source in (
-                cli._scanned(range(shift, 5)),  # index 0, whose bits are "0"
-                cli._scanned(range(13, 14)),
+                closedform.scan_listing(range(shift, 5)),  # index 0, whose bits are "0"
+                closedform.scan_listing(range(13, 14)),
                 cli._closed_form(range(1, 15)),  # decimal from 12 bits on
             )
             for k, rows in source
@@ -265,6 +267,12 @@ class TestPlot:
         code, out, _ = run(capsys, "plot", "--max", str((1 << 12) - 1))
         assert code == EXIT_OK
         assert len(out) == 1 << 12
+
+    def test_text_stream_without_buffer(self):
+        stream = io.StringIO()
+        with contextlib.redirect_stdout(stream):
+            assert main(["plot", "--max", "3"]) == EXIT_OK
+        assert stream.getvalue() == "0,0,0\n1,1,1\n2,1,1\n3,2,2\n"
 
     def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "plot.csv"
@@ -477,6 +485,27 @@ class TestTable:
         ]
         assert [(int(k), bits) for k, bits, _ in rows] == expected
         assert all(int(bits, 2) == int(index) for _, bits, index in rows)
+
+    def test_table_three_checks_its_one_scan_first(self, capsys, monkeypatch):
+        monkeypatch.setenv(MAX_BITS_ENV_VAR, "8")
+        code, out, err = run(capsys, "table", "3")
+        assert (code, out) == (EXIT_BUDGET, [])
+        assert err.splitlines() == [
+            "error: scan of all indices below 2**11 needs indices up to 11 bits, exceeding the "
+            f"ceiling of 8 bits (override with {MAX_BITS_ENV_VAR})"
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, misses",
+        [(["table", "3"], 1), (["verify", "--k-range", "1..11", "--suites", "tables"], 2)],
+    )
+    def test_scans_per_command(self, capsys, argv, misses):
+        # One scan for the per-bit-length table; verify also scans for the first records.
+        from sternseq import records
+
+        records._records_scan_cached.cache_clear()
+        assert run(capsys, *argv)[0] == EXIT_OK
+        assert records._records_scan_cached.cache_info().misses == misses
 
 
 class TestVerify:

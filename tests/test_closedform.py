@@ -5,11 +5,15 @@ import itertools
 from decimal import Decimal
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sternseq import count_kbit, cross_validate, fib, g_value, generate_kbit, lucas, stern_a
-from sternseq import closedform
-from sternseq.closedform import kbit_listing, kbit_rows
-from sternseq.tables import SMALL_BITLENGTH_RECORDS
+from sternseq import closedform, records_scan
+from sternseq import records as records_module
+from sternseq.budget import MAX_BITS_ENV_VAR, BudgetExceededError
+from sternseq.closedform import kbit_listing, kbit_rows, scan_listing
+from sternseq.tables import SMALL_BITLENGTH_MAX, SMALL_BITLENGTH_RECORDS
 
 #: An exact decimal context, as ``sternseq records`` lists closed forms in.
 _EXACT = decimal.Context(
@@ -230,6 +234,43 @@ class TestGenerateKbit:
         assert count_kbit(k) == len(
             generate_kbit(k) if k >= 12 else SMALL_BITLENGTH_RECORDS[k]
         )
+
+
+class TestScanListing:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 14), st.integers(1, 14))
+    def test_scan_rows_with_closed_form_families(self, lo, hi):
+        assume(lo <= hi)
+        listing = [(k, list(rows)) for k, rows in scan_listing(range(lo, hi + 1))]
+        assert [k for k, _ in listing] == list(range(lo, hi + 1))
+        scan = records_scan(hi)
+        for k, rows in listing:
+            assert [(i, v) for i, v, _, _ in rows] == [
+                (r.index, r.value) for r in scan if r.bit_length == k
+            ]
+            families = {i: (f, p) for i, _, f, p in kbit_rows(k)} if k else {}
+            assert [(f, p) for i, _, f, p in rows] == [
+                families.get(i, (None, None)) for i, _, _, _ in rows
+            ]
+            if k <= SMALL_BITLENGTH_MAX:
+                assert all(f is None and p is None for _, _, f, p in rows)
+            else:
+                assert all(f is not None for _, _, f, _ in rows)
+
+    @pytest.mark.parametrize("k_values", [range(12, 12), range(1, 1), range(5, 3)])
+    def test_empty_range_scans_nothing(self, k_values):
+        records_module._records_scan_cached.cache_clear()
+        assert list(scan_listing(k_values)) == []
+        assert records_module._records_scan_cached.cache_info().misses == 0
+
+    def test_scan_and_ceiling_check_run_on_the_call(self, monkeypatch):
+        monkeypatch.setenv(MAX_BITS_ENV_VAR, "8")
+        with pytest.raises(BudgetExceededError, match=r"below 2\*\*11 "):
+            scan_listing(range(1, 12))  # not read
+        monkeypatch.setenv(MAX_BITS_ENV_VAR, "11")
+        records_module._records_scan_cached.cache_clear()
+        scan_listing(range(1, 12))
+        assert records_module._records_scan_cached.cache_info().misses == 1
 
 
 class TestCrossValidation:
