@@ -8,7 +8,7 @@ closed-form classification of all record-setters from 12 bits on.
 """
 
 from .budget import BudgetExceededError, memory_ceiling_bits
-from .closedform import count_kbit, cross_validate, generate_kbit
+from .closedform import count_kbit, cross_validate
 from .core import (
     hyperbinary_count_dp,
     hyperbinary_enumerate,
@@ -19,9 +19,7 @@ from .core import (
 from .fibonacci import fib, lucas
 from .records import (
     AuditReport,
-    RecordSetter,
     audit_substring_properties,
-    records_in_bitlength,
     records_scan,
     verify_extremal_lemmas,
 )
@@ -48,7 +46,6 @@ __all__ = [
     "BudgetExceededError",
     "Comparator",
     "Mat2",
-    "RecordSetter",
     "audit_substring_properties",
     "count_kbit",
     "cross_validate",
@@ -58,14 +55,12 @@ __all__ = [
     "fib",
     "g_split",
     "g_value",
-    "generate_kbit",
     "hyperbinary_count_dp",
     "hyperbinary_enumerate",
     "lucas",
     "memory_ceiling_bits",
     "mu_of",
     "prime",
-    "records_in_bitlength",
     "records_scan",
     "stern_a",
     "stern_range",

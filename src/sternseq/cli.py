@@ -30,7 +30,7 @@ from .budget import (
 )
 from .closedform import kbit_listing, scan_listing
 from .core import hyperbinary_count_dp, stern_a, stern_range, stern_s
-from .records import check_scan_budget, records_scan
+from .records import _validate_convention, check_scan_budget, records_scan
 from .strings import g_value
 from .tables import FIRST_RECORDS, FIRST_RECORDS_BITS, SMALL_BITLENGTH_MAX
 from .verify import SCAN_BITS, SUITES
@@ -124,7 +124,7 @@ def format_records(listing, fmt: str, convention: str = "A"):
         raise ValueError(f"unknown format {fmt!r}")
     if fmt == "csv":
         yield "index,bits,value,k,family\n"
-    shifted = convention == "S"
+    shifted = _validate_convention(convention) == "S"
     head, after_index, after_bits, family_tail, bare_tail = _LINE_PARTS[fmt]
     for k, rows in listing:
         n = k // 2
@@ -280,8 +280,9 @@ def cmd_table(args) -> int:
         for n in range(16):
             print(n, stern_a(n))
     elif args.which == 2:
-        for i, record in enumerate(records_scan(FIRST_RECORDS_BITS, "A")[: len(FIRST_RECORDS)]):
-            print(i, record.index, record.value)
+        first = records_scan(FIRST_RECORDS_BITS, "A")[: len(FIRST_RECORDS)]
+        for i, (index, value) in enumerate(first):
+            print(i, index, value)
     else:
         for k, rows in scan_listing(range(1, SMALL_BITLENGTH_MAX + 1)):
             for index, *_ in rows:

@@ -31,11 +31,11 @@ family at a time, and checks that every index exceeds the last and has
 ``k`` bits.  :func:`kbit_listing` yields the rows of many bit lengths from
 one pair of tables built for the longest; ``sternseq records`` asks for
 them in exact decimal, so it never converts an index from binary to
-decimal text.  :func:`generate_kbit` lists the int rows as
-:class:`~sternseq.records.RecordSetter` records.  :func:`scan_listing`
-lists one brute-force scan in the same shape, the one place that splits
-it by bit length; :func:`cross_validate` compares it with the closed
-forms, and each index formula with its family's bit pattern.
+decimal text.  :func:`scan_listing` lists one brute-force scan, whose
+record-setters are plain ``(index, value)`` pairs, in the same shape, the
+one place that splits it by bit length; :func:`cross_validate` compares it
+with the closed forms, and each index formula with its family's bit
+pattern.
 """
 
 from __future__ import annotations
@@ -43,12 +43,10 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .core import stern_a
-from .records import AuditReport, RecordSetter, records_scan
+from .records import AuditReport, records_scan
 from .tables import SMALL_BITLENGTH_MAX, SMALL_BITLENGTH_RECORDS
 
-__all__ = [
-    "count_kbit", "cross_validate", "generate_kbit", "kbit_listing", "kbit_rows", "scan_listing"
-]
+__all__ = ["count_kbit", "cross_validate", "kbit_listing", "kbit_rows", "scan_listing"]
 
 
 def _exact_third(numerator):
@@ -228,11 +226,6 @@ def kbit_rows(k: int, one=1):
         yield from rows
 
 
-def generate_kbit(k: int) -> list[RecordSetter]:
-    """All ``k``-bit record-setters in index order: the int rows of :func:`kbit_rows`."""
-    return [RecordSetter(i, v) for i, v, _, _ in kbit_rows(k)]
-
-
 def scan_listing(k_values: range):
     """The scan as ``(k, rows)`` for each ``k`` in ``k_values``, as :func:`kbit_listing` lists.
 
@@ -243,15 +236,15 @@ def scan_listing(k_values: range):
     :func:`kbit_rows` row with its index, or ``None``, as below 12 bits.
     """
     found = {k: [] for k in k_values}
-    for r in records_scan(k_values[-1], "A") if k_values else ():
-        if r.bit_length in found:
-            found[r.bit_length].append(r)
+    for index, value in records_scan(k_values[-1], "A") if k_values else ():
+        if index.bit_length() in found:
+            found[index.bit_length()].append((index, value))
 
     def listing():
         for k, records in found.items():
             rows = kbit_rows(k) if k > SMALL_BITLENGTH_MAX else ()
             families = {index: (family, p) for index, _, family, p in rows}
-            yield k, [(r.index, r.value, *families.get(r.index, (None, None))) for r in records]
+            yield k, [(i, v, *families.get(i, (None, None))) for i, v in records]
 
     return listing()
 

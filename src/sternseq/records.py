@@ -28,15 +28,14 @@ from .budget import check_bits_budget
 from .core import stern_range
 from .fibonacci import fib
 from .strings import Comparator, dominates, g_value, mu_of
+from .tables import SMALL_BITLENGTH_MAX
 
 __all__ = [
     "AuditReport",
     "DOMINANCE_WITNESSES",
     "DominanceWitness",
-    "RecordSetter",
     "audit_substring_properties",
     "check_scan_budget",
-    "records_in_bitlength",
     "records_scan",
     "verify_dominance_witnesses",
     "verify_extremal_lemmas",
@@ -47,32 +46,15 @@ Convention = Literal["A", "S"]
 _SCAN_CHUNK = 1 << 20
 
 #: Bit length from which the structural substring properties are
-#: asserted unconditionally; smaller record-setters may violate them
-#: (e.g. "11" itself) and are only reported informationally.
-HARD_AUDIT_MIN_BITS = 12
+#: asserted unconditionally, the first one the closed forms cover;
+#: smaller record-setters may violate them (e.g. "11" itself) and are
+#: only reported informationally.
+HARD_AUDIT_MIN_BITS = SMALL_BITLENGTH_MAX + 1
 
 #: The single record-setter allowed to carry "1000" away from the front.
 INTERIOR_1000_EXCEPTION = "1001000"
 
 _BLOCKS_RE = re.compile(r"(?:10{1,3})+")
-
-
-@dataclass(frozen=True, slots=True)
-class RecordSetter:
-    """One running-maximum position of the sequence: its index in ``convention`` and its value."""
-
-    index: int
-    value: int
-    convention: Convention = "A"
-
-    @property
-    def bit_length(self) -> int:
-        return self.index.bit_length()
-
-    @property
-    def bits(self) -> str:
-        """Binary form of the index ("0" for index 0)."""
-        return format(self.index, "b")
 
 
 def _validate_convention(convention: str) -> Convention:
@@ -82,10 +64,10 @@ def _validate_convention(convention: str) -> Convention:
 
 
 @lru_cache(maxsize=8)
-def _records_scan_cached(k_max: int) -> tuple[RecordSetter, ...]:
+def _records_scan_cached(k_max: int) -> tuple[tuple[int, int], ...]:
     import numpy as np
 
-    records = [RecordSetter(0, 0)]
+    records = [(0, 0)]
     top = 0  # the largest value before the chunk
     hi = 1 << k_max
     for lo in range(1, hi, _SCAN_CHUNK):
@@ -93,11 +75,11 @@ def _records_scan_cached(k_max: int) -> tuple[RecordSetter, ...]:
         if vals.max() <= top:
             continue
         if vals[0] > top:
-            records.append(RecordSetter(lo, int(vals[0])))
+            records.append((lo, int(vals[0])))
         running = np.maximum.accumulate(vals)
         np.maximum(running, top, out=running)
         for pos in np.flatnonzero(running[1:] > running[:-1]) + 1:
-            records.append(RecordSetter(lo + int(pos), int(vals[pos])))
+            records.append((lo + int(pos), int(vals[pos])))
         top = running[-1]
     return tuple(records)
 
@@ -107,8 +89,8 @@ def check_scan_budget(k_max: int) -> None:
     check_bits_budget(k_max, f"scan of all indices below 2**{k_max}")
 
 
-def records_scan(k_max: int, convention: Convention = "A") -> list[RecordSetter]:
-    """All record-setters with index below ``2**k_max``, in index order.
+def records_scan(k_max: int, convention: Convention = "A") -> list[tuple[int, int]]:
+    """The ``(index, value)`` of every record-setter with index below ``2**k_max``, in index order.
 
     Index 0 is included in both conventions (value 0 for "A", 1 for
     "S").  Both read one scan of ``a`` below ``2**k_max``: the "S" records
@@ -124,12 +106,7 @@ def records_scan(k_max: int, convention: Convention = "A") -> list[RecordSetter]
     scan = _records_scan_cached(k_max)
     if convention == "A":
         return list(scan)
-    return [RecordSetter(r.index - 1, r.value, "S") for r in scan if r.index]
-
-
-def records_in_bitlength(k: int, convention: Convention = "A") -> list[RecordSetter]:
-    """Record-setters whose index has exactly ``k`` bits."""
-    return [r for r in records_scan(k, convention) if r.bit_length == k]
+    return [(index - 1, value) for index, value in scan[1:]]
 
 
 @dataclass(frozen=True)
@@ -178,20 +155,18 @@ def audit_substring_properties(k_max: int) -> AuditReport:
     violations: list[tuple[int, str]] = []
     informational: list[tuple[int, str]] = []
     checked = 0
-    for record in records_scan(k_max, "S"):
-        if record.index == 0:
-            continue
-        bits = record.bits
+    for index, _ in records_scan(k_max, "S")[1:]:
+        bits = format(index, "b")
         problems = _substring_violations(bits)
-        if record.bit_length >= HARD_AUDIT_MIN_BITS:
+        if len(bits) >= HARD_AUDIT_MIN_BITS:
             checked += 1
-            violations.extend((record.index, p) for p in problems)
+            violations.extend((index, p) for p in problems)
         else:
             for p in problems:
                 if bits == INTERIOR_1000_EXCEPTION and p == "interior-1000":
-                    informational.append((record.index, "allowed-exception-1001000"))
+                    informational.append((index, "allowed-exception-1001000"))
                 else:
-                    informational.append((record.index, p))
+                    informational.append((index, p))
     return AuditReport(violations, checked, informational)
 
 

@@ -49,9 +49,7 @@ def _tables(lo: int, hi: int) -> AuditReport:
         if stern_a(n) != expected
     ]
     checked = len(INITIAL_VALUES) + len(FIRST_RECORDS)
-    first = records_scan(FIRST_RECORDS_BITS, "A")[: len(FIRST_RECORDS)]
-    scanned = [(r.index, r.value) for r in first]
-    if scanned != list(FIRST_RECORDS):
+    if records_scan(FIRST_RECORDS_BITS, "A")[: len(FIRST_RECORDS)] != list(FIRST_RECORDS):
         violations.append((0, "first record-setters do not match the reference list"))
     for k, rows in scan_listing(range(lo, min(hi, SMALL_BITLENGTH_MAX) + 1)):
         found = tuple(format(index, "b") for index, *_ in rows)

@@ -14,11 +14,10 @@ from sternseq import (
     fib,
     g_split,
     g_value,
-    generate_kbit,
     hyperbinary_count_dp,
     hyperbinary_enumerate,
     mu_of,
-    records_in_bitlength,
+    records,
     records_scan,
     stern_a,
     stern_range,
@@ -26,7 +25,7 @@ from sternseq import (
     verify_extremal_lemmas,
 )
 from sternseq.cli import main
-from sternseq.closedform import kbit_rows
+from sternseq.closedform import kbit_rows, scan_listing
 from sternseq.tables import FIRST_RECORDS, SMALL_BITLENGTH_RECORDS
 
 
@@ -51,8 +50,7 @@ def test_c01_table_of_initial_values(capsys):
 
 def test_c02_first_record_setters(capsys):
     start = time.perf_counter()
-    scanned = records_scan(8, "A")
-    pairs = [(r.index, r.value) for r in scanned]
+    pairs = records_scan(8, "A")
     # The reference table lists the first 18 records; they are exactly
     # the records with index <= 147 (the scan legitimately continues
     # with 149, 165, 171 below 2**8).
@@ -66,25 +64,25 @@ def test_c02_first_record_setters(capsys):
 def test_c03_per_bitlength_records_below_twelve(capsys):
     start = time.perf_counter()
     ok = True
-    for k in range(1, 12):
-        found = records_in_bitlength(k, "A")
+    for k, found in scan_listing(range(1, 12)):
         expected = SMALL_BITLENGTH_RECORDS[k]
-        ok = ok and tuple(r.bits for r in found) == expected
-        ok = ok and [r.index for r in found] == [int(bits, 2) for bits in expected]
+        ok = ok and tuple(format(index, "b") for index, *_ in found) == expected
+        ok = ok and [index for index, *_ in found] == [int(bits, 2) for bits in expected]
     _report(capsys, 3, "per-bit-length records for k < 12 match the reference", ok, time.perf_counter() - start, 1.0)
 
 
 def test_c04_classification_equivalence_to_24_bits(capsys):
     start = time.perf_counter()
+    records._records_scan_cached.cache_clear()
     ok = True
-    for k in range(12, 25):
-        closed = generate_kbit(k)
-        scanned = records_in_bitlength(k, "A")
+    for k, scanned in scan_listing(range(12, 25)):
+        closed = list(kbit_rows(k))
         ok = ok and len(closed) == len(scanned) == (3 * k) // 4 - (-1) ** k
         ok = ok and all(
-            c.index == s.index and c.value == s.value and c.bits == s.bits
-            for c, s in zip(closed, scanned)
+            index == at and value == found and family.bits(k // 2, p) == format(at, "b")
+            for (index, value, family, p), (at, found, _, _) in zip(closed, scanned)
         )
+    ok = ok and records._records_scan_cached.cache_info().misses == 1  # one scan for all k
     peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     ok = ok and peak_mib <= 256
     _report(capsys, 4, "closed forms equal brute force for 12 <= k <= 24", ok, time.perf_counter() - start, 120.0)

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sternseq import cli, count_kbit, fib, generate_kbit, stern_a
+from sternseq import cli, count_kbit, fib, stern_a
 from sternseq import closedform
 from sternseq.budget import MAX_BITS_ENV_VAR
 from sternseq.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, FORMATS, main, parse_bfile
@@ -67,12 +67,10 @@ class TestValue:
     def test_matrix_method_beyond_scan_range(self, capsys):
         # The 64-bit record-setters are far beyond any scan; the matrix
         # method evaluates them directly from the binary expansion.
-        from sternseq import fib, generate_kbit
-
-        entry = generate_kbit(64)[-1]
-        code, out, _ = run(capsys, "value", str(entry.index), "--method", "matrix")
+        *_, (index, value, _, _) = closedform.kbit_rows(64)
+        code, out, _ = run(capsys, "value", str(index), "--method", "matrix")
         assert code == EXIT_OK
-        assert out == [str(entry.value)] == [str(fib(65))]
+        assert out == [str(value)] == [str(fib(65))]
 
 
 class TestRecords:
@@ -87,7 +85,7 @@ class TestRecords:
         # Exact round trip against the in-memory listing.
         from sternseq import records_scan
 
-        assert pairs == [(r.index, r.value) for r in records_scan(8, "A")]
+        assert pairs == records_scan(8, "A")
 
     def test_closed_form_max_bits_matches_scan_except_index_zero(self, capsys):
         _, scan_out, _ = run(capsys, "records", "--max-bits", "14", "--format", "bfile")
@@ -235,6 +233,11 @@ class TestRecords:
         assert [next(lines) for _ in first] == first
         with pytest.raises(RuntimeError, match="the second bit length"):
             next(lines)
+
+    def test_format_records_rejects_an_unknown_convention(self):
+        # The check records_scan makes: a lower-case "s" is not "S".
+        with pytest.raises(ValueError, match="convention must be 'A' or 'S'"):
+            next(cli.format_records(closedform.kbit_listing((5,)), "plain", "s"))
 
     def test_requires_a_range_option(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -718,7 +721,7 @@ class TestBeyondIntStrLimit:
 
 
 @pytest.mark.parametrize("convention", ["A", "S"])
-def test_decimal_rows_equal_generate_kbit(convention):
+def test_decimal_rows_equal_kbit_rows(convention):
     shift = 1 if convention == "S" else 0
     for k in [*range(1, 201), 511, 512, 999, 1000]:
         rows = [(kk, *row) for kk, rows in cli._closed_form(range(k, k + 1)) for row in rows]
@@ -762,7 +765,7 @@ class TestOutputErrors:
     def test_closed_form_records_into_head_ten_bytes(self):  # records ... | head -c 10
         argv = ["records", "--bits", "2000", "--source", "closed-form", "--format", "bfile"]
         proc = _spawn(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        assert proc.stdout.read(10) == str(generate_kbit(2000)[0].index)[:10].encode()
+        assert proc.stdout.read(10) == str(next(closedform.kbit_rows(2000))[0])[:10].encode()
         assert _quiet_after_close(proc) == (EXIT_OK, b"")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")

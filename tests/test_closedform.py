@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sternseq import count_kbit, cross_validate, fib, g_value, generate_kbit, lucas, stern_a
+from sternseq import count_kbit, cross_validate, fib, g_value, lucas, stern_a
 from sternseq import closedform, records_scan
 from sternseq import records as records_module
 from sternseq.budget import MAX_BITS_ENV_VAR, BudgetExceededError
@@ -154,42 +154,43 @@ class TestClosedForms:
 
 class TestGenerateKbit:
     def test_small_k_from_table(self):
-        entries = generate_kbit(5)
-        assert [(e.bits, e.index, e.value) for e in entries] == [
+        entries = list(kbit_rows(5))
+        assert [(format(i, "b"), i, v) for i, v, _, _ in entries] == [
             ("10011", 19, 7),
             ("10101", 21, 8),
         ]
         assert next(kbit_rows(5))[2:] == (None, None)
 
     def test_twelve_bits(self):
-        entries = generate_kbit(12)
-        assert len(entries) == 8
-        assert (entries[0].bits, entries[0].index) == ("100010101011", 2219)
-        assert (entries[-1].bits, entries[-1].index) == ("101010101011", 2731)
+        indices = [i for i, _, _, _ in kbit_rows(12)]
+        assert len(indices) == 8
+        assert (format(indices[0], "b"), indices[0]) == ("100010101011", 2219)
+        assert (format(indices[-1], "b"), indices[-1]) == ("101010101011", 2731)
         assert [family_id for family_id, _ in _runs(12)] == ["E1", "E2", "E3"]
 
     def test_thirteen_bits(self):
-        entries = generate_kbit(13)
-        assert len(entries) == 10
-        assert entries[0].bits == "1000101010101"
-        assert entries[-1].index == 5461
+        indices = [i for i, _, _, _ in kbit_rows(13)]
+        assert len(indices) == 10
+        assert format(indices[0], "b") == "1000101010101"
+        assert indices[-1] == 5461
         assert [family_id for family_id, _ in _runs(13)] == ["O1", "O2", "O3", "O4", "O5"]
 
     @pytest.mark.parametrize("k", range(12, 65))
     def test_structural_invariants(self, k):
-        entries = generate_kbit(k)
-        assert len(entries) == count_kbit(k) == (3 * k) // 4 - (-1) ** k
-        assert all(e.index.bit_length() == k for e in entries)
-        assert all(a.index < b.index for a, b in zip(entries, entries[1:]))
-        assert all(int(e.bits, 2) == e.index for e in entries)
+        rows = list(kbit_rows(k))
+        indices = [i for i, _, _, _ in rows]
+        assert len(indices) == count_kbit(k) == (3 * k) // 4 - (-1) ** k
+        assert all(i.bit_length() == k for i in indices)
+        assert all(a < b for a, b in zip(indices, indices[1:]))
+        assert all(format(i, "b") == family.bits(k // 2, p) for i, _, family, p in rows)
 
     @pytest.mark.parametrize("k", [1000, 1001])
     def test_deep_row_values_match_recurrence(self, k):
         # Independent of the table: the recurrence on each index.  The
         # rows must not depend on the table size either: k's rows read
         # from tables built for 3k equal those from tables built for k.
-        for entry in generate_kbit(k):
-            assert entry.value == stern_a(entry.index)
+        for index, value, _, _ in kbit_rows(k):
+            assert value == stern_a(index)
         (k_read, rows), _ = kbit_listing((k, 3 * k))
         assert k_read == k
         assert list(rows) == list(kbit_rows(k))
@@ -205,7 +206,7 @@ class TestGenerateKbit:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            generate_kbit(0)
+            list(kbit_rows(0))
 
     @pytest.mark.parametrize("one", [1, Decimal(1)], ids=["int", "Decimal"])
     def test_row_checks_hold_for_both_number_types(self, monkeypatch, one):
@@ -232,7 +233,7 @@ class TestGenerateKbit:
     def test_count_kbit(self, k, expected):
         assert count_kbit(k) == expected
         assert count_kbit(k) == len(
-            generate_kbit(k) if k >= 12 else SMALL_BITLENGTH_RECORDS[k]
+            list(kbit_rows(k)) if k >= 12 else SMALL_BITLENGTH_RECORDS[k]
         )
 
 
@@ -245,9 +246,7 @@ class TestScanListing:
         assert [k for k, _ in listing] == list(range(lo, hi + 1))
         scan = records_scan(hi)
         for k, rows in listing:
-            assert [(i, v) for i, v, _, _ in rows] == [
-                (r.index, r.value) for r in scan if r.bit_length == k
-            ]
+            assert [(i, v) for i, v, _, _ in rows] == [(i, v) for i, v in scan if i.bit_length() == k]
             families = {i: (f, p) for i, _, f, p in kbit_rows(k)} if k else {}
             assert [(f, p) for i, _, f, p in rows] == [
                 families.get(i, (None, None)) for i, _, _, _ in rows

@@ -9,29 +9,28 @@ from sternseq import (
     audit_substring_properties,
     fib,
     g_value,
-    generate_kbit,
-    records_in_bitlength,
     records_scan,
     stern_s,
     verify_extremal_lemmas,
 )
 from sternseq.budget import MAX_BITS_ENV_VAR
+from sternseq.closedform import scan_listing
 from sternseq.tables import FIRST_RECORDS, SMALL_BITLENGTH_RECORDS
 
 
 class TestRecordsScan:
     def test_first_records_match_reference(self):
-        pairs = [(r.index, r.value) for r in records_scan(8, "A")]
+        pairs = records_scan(8, "A")
         assert pairs[: len(FIRST_RECORDS)] == list(FIRST_RECORDS)
         # The reference list is exactly the records with index <= 147;
         # three more 8-bit records follow below 2**8.
         assert pairs[len(FIRST_RECORDS) :] == [(149, 29), (165, 30), (171, 34)]
 
     def test_smallest_scan(self):
-        assert [(r.index, r.value) for r in records_scan(1, "A")] == [(0, 0), (1, 1)]
+        assert records_scan(1, "A") == [(0, 0), (1, 1)]
 
     def test_shifted_convention_matches_reference(self):
-        pairs = [(r.index, r.value) for r in records_scan(8, "S")]
+        pairs = records_scan(8, "S")
         expected = [(0, 1)] + [(v - 1, a) for v, a in FIRST_RECORDS[2:]]
         assert pairs[: len(expected)] == expected
 
@@ -40,8 +39,8 @@ class TestRecordsScan:
         # less for s, with the same value.
         a_recs = records_scan(12, "A")
         s_recs = records_scan(12, "S")
-        assert [r.index for r in s_recs] == [r.index - 1 for r in a_recs if r.index >= 1]
-        assert [r.value for r in s_recs] == [r.value for r in a_recs if r.index >= 1]
+        assert [i for i, _ in s_recs] == [i - 1 for i, _ in a_recs if i >= 1]
+        assert [v for _, v in s_recs] == [v for i, v in a_recs if i >= 1]
 
     @pytest.mark.parametrize("k", range(1, 15))
     def test_shifted_records_match_running_maximum_of_s(self, k):
@@ -52,9 +51,7 @@ class TestRecordsScan:
             if v > best:
                 naive.append((n, v))
                 best = v
-        assert [(r.index, r.value, r.convention) for r in records_scan(k, "S")] == [
-            (n, v, "S") for n, v in naive
-        ]
+        assert records_scan(k, "S") == naive
 
     def test_both_conventions_share_one_cached_scan(self):
         from sternseq import records as records_module
@@ -67,19 +64,8 @@ class TestRecordsScan:
 
     def test_records_strictly_increase(self):
         recs = records_scan(10, "A")
-        assert all(a.value < b.value for a, b in zip(recs, recs[1:]))
-        assert all(a.index < b.index for a, b in zip(recs, recs[1:]))
-
-    def test_metadata_fields(self):
-        r = records_scan(4, "A")[-1]
-        assert r.bit_length == r.index.bit_length()
-        assert r.convention == "A"
-        assert r.bits == format(r.index, "b")
-
-    def test_records_have_no_instance_dict(self):
-        # Slots keep each record to its three fields, from a scan or a closed form.
-        for record in (generate_kbit(12)[0], records_scan(4, "A")[-1]):
-            assert not hasattr(record, "__dict__")
+        assert all(a[1] < b[1] for a, b in zip(recs, recs[1:]))
+        assert all(a[0] < b[0] for a, b in zip(recs, recs[1:]))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -94,38 +80,46 @@ class TestRecordsScan:
         records_scan(8, "A")
 
 
+@pytest.fixture(scope="module")
+def rows_by_bits():
+    """``{k: [(bits, index, value), ...]}`` for k = 1..24, from one scan listing."""
+    return {
+        k: [(format(index, "b"), index, value) for index, value, _, _ in rows]
+        for k, rows in scan_listing(range(1, 25))
+    }
+
+
 class TestRecordsInBitlength:
-    def test_five_bit_records(self):
-        recs = records_in_bitlength(5, "A")
-        assert [(r.bits, r.index, r.value) for r in recs] == [
+    def test_five_bit_records(self, rows_by_bits):
+        assert rows_by_bits[5] == [
             ("10011", 19, 7),
             ("10101", 21, 8),
         ]
 
-    def test_two_bit_records(self):
-        assert [(r.index, r.value) for r in records_in_bitlength(2, "A")] == [(3, 2)]
+    def test_two_bit_records(self, rows_by_bits):
+        assert [(index, value) for _, index, value in rows_by_bits[2]] == [(3, 2)]
 
-    def test_twelve_bit_records(self):
-        recs = records_in_bitlength(12, "A")
+    def test_twelve_bit_records(self, rows_by_bits):
+        recs = rows_by_bits[12]
         assert len(recs) == 8
-        assert (recs[0].bits, recs[0].index) == ("100010101011", 2219)
-        assert (recs[-1].bits, recs[-1].index) == ("101010101011", 2731)
+        assert recs[0][:2] == ("100010101011", 2219)
+        assert recs[-1][:2] == ("101010101011", 2731)
 
     @pytest.mark.parametrize("k", range(1, 12))
-    def test_small_rows_match_reference(self, k):
-        assert tuple(r.bits for r in records_in_bitlength(k, "A")) == SMALL_BITLENGTH_RECORDS[k]
+    def test_small_rows_match_reference(self, rows_by_bits, k):
+        assert tuple(bits for bits, _, _ in rows_by_bits[k]) == SMALL_BITLENGTH_RECORDS[k]
 
     @pytest.mark.parametrize("k", range(12, 17))
-    def test_count_law(self, k):
-        assert len(records_in_bitlength(k, "A")) == (3 * k) // 4 - (-1) ** k
+    def test_count_law(self, rows_by_bits, k):
+        assert len(rows_by_bits[k]) == (3 * k) // 4 - (-1) ** k
 
     @pytest.mark.parametrize("k", range(2, 25))
-    def test_largest_record_per_bitlength_is_fibonacci(self, k):
-        assert max(r.value for r in records_in_bitlength(k, "A")) == fib(k + 1)
+    def test_largest_record_per_bitlength_is_fibonacci(self, rows_by_bits, k):
+        assert max(value for _, _, value in rows_by_bits[k]) == fib(k + 1)
 
     def test_scans_are_prefix_consistent(self):
-        longer = [(r.index, r.value) for r in records_scan(14, "A")]
-        shorter = [(r.index, r.value) for r in records_scan(10, "A")]
+        longer = records_scan(14, "A")
+        shorter = records_scan(10, "A")
         assert longer[: len(shorter)] == shorter
 
 
@@ -164,12 +158,12 @@ class TestScanCells:
         monkeypatch.setattr(records_module, "_SCAN_CHUNK", chunk)
         for k in range(1, 13):
             expected = [(n, v) for n, v in _RUNNING_MAXIMUM[convention] if n < 1 << k]
-            assert [(r.index, r.value) for r in records_scan(k, convention)] == expected
+            assert records_scan(k, convention) == expected
 
     def test_index_and_value_are_python_ints(self, records_module):
         for convention in ("A", "S"):
-            for r in records_scan(12, convention):
-                assert type(r.index) is int and type(r.value) is int
+            for index, value in records_scan(12, convention):
+                assert type(index) is int and type(value) is int
 
     @pytest.mark.parametrize("k", [1, 12, 21])
     def test_scan_asks_for_the_narrowest_exact_cells(self, monkeypatch, records_module, k):
@@ -219,11 +213,11 @@ class TestSubstringAudit:
 
     def test_records_decompose_into_blocks(self):
         # Direct restatement of what the audit asserts, for one row.
-        for r in records_in_bitlength(14, "S"):
-            assert "11" not in r.bits
-            assert "10000" not in r.bits
-            assert r.bits.find("1000", 1) == -1
-            rest = r.bits
+        for bits in [format(i, "b") for i, _ in records_scan(14, "S") if i.bit_length() == 14]:
+            assert "11" not in bits
+            assert "10000" not in bits
+            assert bits.find("1000", 1) == -1
+            rest = bits
             while rest:
                 assert rest[0] == "1"
                 zeros = len(rest[1:]) - len(rest[1:].lstrip("0"))
