@@ -28,7 +28,6 @@ from .strings import (
     Bottom,
     Comparator,
     Mat2,
-    delta,
     dominates,
     double_prime,
     g_split,
@@ -49,7 +48,6 @@ __all__ = [
     "audit_substring_properties",
     "count_kbit",
     "cross_validate",
-    "delta",
     "dominates",
     "double_prime",
     "fib",

@@ -30,7 +30,7 @@ from .budget import (
 )
 from .closedform import kbit_listing, scan_listing
 from .core import hyperbinary_count_dp, stern_a, stern_range, stern_s
-from .records import _validate_convention, check_scan_budget, records_scan
+from .records import check_scan_budget, records_scan, shifted_listing
 from .strings import g_value
 from .tables import FIRST_RECORDS, FIRST_RECORDS_BITS, SMALL_BITLENGTH_MAX
 from .verify import SCAN_BITS, SUITES
@@ -84,33 +84,26 @@ _LINE_PARTS = {
 }
 
 
-def _bits_of(fmt: str, n: int, family, shifted: bool):
+def _bits_of(fmt: str, n: int, family):
     """The bits of a row in a run: from its parameter with a family, from its index without."""
     if fmt == "bfile":
         return lambda _: ""
     if not family:
         return lambda index: format(int(index), "b")
-    if shifted:
-        return lambda parameter: family.bits(n, parameter)[:-1] + "0"  # every pattern ends in 1
     return partial(family.bits, n)
 
 
-def format_records(listing, fmt: str, convention: str = "A"):
+def format_records(listing, fmt: str):
     """Render a listing in an output format, one line per row, each ending in a newline.
 
     ``listing`` yields ``(k, rows)`` as
     :func:`~sternseq.closedform.kbit_listing` does: the record-setters
-    whose "A" index has ``k`` bits, in index order, as rows ``(index,
-    value, family, parameter)`` of ``int`` or ``decimal.Decimal``
-    numbers.  A row with a family takes its bits from the family's
-    pattern, not from its index; ``bfile`` makes no bits.  Under
-    convention "S" a row stands for the record-setter of ``s(n) =
-    a(n+1)`` with the same value: its index moves down by one, in the
-    decimal context current when the row is read, so the last bit of its
-    pattern, always 1, becomes 0, and index 1 becomes s-index 0, with
-    ``k`` 0.  The text of a line other than its index, bits and value is
-    fixed once for each run of rows of one family, and each line is made
-    as its row is read.
+    whose index has ``k`` bits, in index order, as rows ``(index, value,
+    family, parameter)`` of ``int`` or ``decimal.Decimal`` numbers.  A row
+    with a family takes its bits from the family's pattern, not from its
+    index; ``bfile`` makes no bits.  The text of a line other than its
+    index, bits and value is fixed once for each run of rows of one
+    family, and each line is made as its row is read.
 
     ``bfile`` follows the OEIS flat-file convention ("index value" per
     line); ``jsonlines`` string-encodes the integers so arbitrarily large
@@ -124,43 +117,26 @@ def format_records(listing, fmt: str, convention: str = "A"):
         raise ValueError(f"unknown format {fmt!r}")
     if fmt == "csv":
         yield "index,bits,value,k,family\n"
-    shifted = _validate_convention(convention) == "S"
     head, after_index, after_bits, family_tail, bare_tail = _LINE_PARTS[fmt]
     for k, rows in listing:
         n = k // 2
-        if shifted and k == 1:
-            k = 0  # index 1 moves to s-index 0
         run = 0  # the family of the current run; no row has this one
         for index, value, family, parameter in rows:
             if family is not run:
                 run = family
-                bits_of = _bits_of(fmt, n, family, shifted)
+                bits_of = _bits_of(fmt, n, family)
                 tail = (family_tail if family else bare_tail).format(
                     k=k, family=family and family.family_id
                 )
-            if shifted:
-                index -= 1
             bits = bits_of(parameter if family else index)
             yield f"{head}{index!s}{after_index}{bits}{after_bits}{value!s}{tail}"
-
-
-def parse_bfile(text: str) -> list[tuple[int, int]]:
-    """Parse OEIS b-file lines ("n value", comments starting with #)."""
-    pairs = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        n, value = line.split()
-        pairs.append((int(n), int(value)))
-    return pairs
 
 
 def _closed_form(k_values: range):
     """The closed-form listing of the bit lengths ``k_values`` in exact decimal.
 
     The exact context is current from the first row read to the end of
-    the listing, so that :func:`format_records` moves decimal indices in it.
+    the listing, so that :func:`~sternseq.records.shifted_listing` moves indices in it.
     """
     import decimal
 
@@ -193,14 +169,11 @@ def cmd_records(args) -> int:
     k = args.bits if exact_bits else args.max_bits
     if k < 1:
         raise UsageError("bit length must be >= 1")
-    # The "A" bit lengths to list.  Under "S", a(0) has no s-index, and
-    # index 1 moves to s-index 0, which has no bits, so --bits 1 lists nothing.
-    shifted = args.convention == "S"
-    lo = max(k, 1 + shifted) if exact_bits else int(shifted)
+    k_values = range(k if exact_bits else 0, k + 1)
     source = scan_listing if args.source == "scan" else _closed_form
-    lines = format_records(source(range(lo, k + 1)), args.format, args.convention)
+    listing = shifted_listing(source, k_values) if args.convention == "S" else source(k_values)
     with _output(args.output) as out:
-        out.writelines(lines)
+        out.writelines(format_records(listing, args.format))
     return EXIT_OK
 
 

@@ -3,9 +3,9 @@
 A record-setter is an index whose value strictly exceeds every earlier
 value.  Two indexing conventions coexist: "A" records the diatomic
 sequence ``a`` itself (OEIS A212288), "S" records the shifted sequence
-``s(n) = a(n+1)``; for every positive record index ``v`` of ``a`` the
-index ``v - 1`` is a record of ``s``, so both have the same values.
-One scan of ``a`` serves both: the "S" records are read off it.
+``s(n) = a(n+1)``.  The "S" record-setters are the "A" ones from index 1
+on, each moved down by one with its value; only :func:`records_scan` and
+:func:`shifted_listing` apply that map.
 
 The scan here is deliberately dumb (linear, chunked) so it can act
 as ground truth for the closed-form classification and for the
@@ -37,6 +37,7 @@ __all__ = [
     "audit_substring_properties",
     "check_scan_budget",
     "records_scan",
+    "shifted_listing",
     "verify_dominance_witnesses",
     "verify_extremal_lemmas",
 ]
@@ -107,6 +108,30 @@ def records_scan(k_max: int, convention: Convention = "A") -> list[tuple[int, in
     if convention == "A":
         return list(scan)
     return [(index - 1, value) for index, value in scan[1:]]
+
+
+def shifted_listing(source, k_values: range):
+    """The "S" listing of the s-index bit lengths ``k_values``, from an "A" listing.
+
+    ``source(range)``, such as :func:`~sternseq.closedform.scan_listing`, is
+    called now, for the "A" bit lengths: 1 for s-index 0, none for 1 bit and
+    ``k`` for ``k >= 2``.  As a row is read, its index moves down by one in the
+    current decimal context and its family's pattern ends in 0, not 1; ``k``
+    1 becomes 0.
+    """
+    ks = [k or 1 for k in k_values if k != 1]
+    listing = source(range(min(ks, default=1), max(ks, default=0) + 1))
+    return ((k if k > 1 else 0, _shifted_rows(rows)) for k, rows in listing)
+
+
+def _shifted_rows(rows):
+    run = shifted = None  # one pattern-flipped family for each run of a family
+    for index, value, family, parameter in rows:
+        if family is not run:
+            run, shifted = family, family and family._replace(
+                bits=lambda n, p, bits=family.bits: bits(n, p)[:-1] + "0"
+            )
+        yield index - 1, value, shifted, parameter
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,6 @@ __all__ = [
     "Comparator",
     "GenStringOrZero",
     "Mat2",
-    "delta",
     "dominates",
     "double_prime",
     "g_split",
@@ -246,12 +245,3 @@ def dominates(kind: Comparator, t: str, y: str) -> bool:
     if not isinstance(kind, Comparator):
         raise TypeError(f"unknown comparator {kind!r}")
     return all(a >= b for a, b in zip(kind.entries(mu_of(t)), kind.entries(mu_of(y))))
-
-
-def delta(x: str) -> int:
-    """Number of 0s minus number of 1s in a binary string.
-
-    For concatenations of 10/100 blocks this counts the 100 blocks.
-    """
-    _check_binary(x)
-    return x.count("0") - x.count("1")

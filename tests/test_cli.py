@@ -22,8 +22,27 @@ from hypothesis.extra.numpy import arrays
 from sternseq import cli, count_kbit, fib, stern_a
 from sternseq import closedform
 from sternseq.budget import MAX_BITS_ENV_VAR
-from sternseq.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, FORMATS, main, parse_bfile
+from sternseq.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, FORMATS, main
+from sternseq.records import shifted_listing
 from sternseq.tables import FIRST_RECORDS, SMALL_BITLENGTH_RECORDS
+
+
+def parse_bfile(text: str) -> list[tuple[int, int]]:
+    """Parse OEIS b-file lines ("n value", comments starting with #)."""
+    pairs = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        n, value = line.split()
+        pairs.append((int(n), int(value)))
+    return pairs
+
+
+class TestParseBfile:
+    def test_skips_comments_and_blanks(self):
+        text = "# header\n\n0 0\n1 1\n  3 2  \n"
+        assert parse_bfile(text) == [(0, 0), (1, 1), (3, 2)]
 
 
 def run(capsys, *argv):
@@ -181,9 +200,11 @@ class TestRecords:
     def test_budget_exit_leaves_no_output_file(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv(MAX_BITS_ENV_VAR, "8")
         target = tmp_path / "records.txt"
-        code, _, err = run(capsys, "records", "--max-bits", "20", "--output", str(target))
-        assert code == EXIT_BUDGET and "ceiling" in err
-        assert not target.exists()
+        for convention in ("A", "S"):  # shifted_listing, too, reads its source on the call
+            argv = ["records", "--max-bits", "20", "--convention", convention, "--output", str(target)]
+            code, _, err = run(capsys, *argv)
+            assert code == EXIT_BUDGET and "ceiling" in err
+            assert not target.exists()
 
     def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "records.txt"
@@ -193,22 +214,23 @@ class TestRecords:
 
     @pytest.mark.parametrize("convention", ["A", "S"])
     def test_jsonlines_equal_json_dumps(self, convention):
-        shift = 1 if convention == "S" else 0
+        def read(source, k_values):
+            return shifted_listing(source, k_values) if convention == "S" else source(k_values)
+
         listing = [
             (k, list(rows))  # each listing read while it is current, as format_records reads it
             for source in (
-                closedform.scan_listing(range(shift, 5)),  # index 0, whose bits are "0"
-                closedform.scan_listing(range(13, 14)),
-                cli._closed_form(range(1, 15)),  # decimal from 12 bits on
+                read(closedform.scan_listing, range(0, 5)),  # index 0, whose bits are "0"
+                read(closedform.scan_listing, range(13, 14)),
+                read(cli._closed_form, range(1, 15)),  # decimal from 12 bits on
             )
             for k, rows in source
         ]
         rows = [row for _, rows in listing for row in rows]
         assert {family is None for _, _, family, _ in rows} == {True, False}
-        lines = list(cli.format_records(listing, "jsonlines", convention))
+        lines = list(cli.format_records(listing, "jsonlines"))
         assert len(lines) == len(rows)
         for (index, value, family, _), line in zip(rows, lines):
-            index -= shift
             doc = {
                 "index": str(index),
                 "bits": format(int(index), "b"),
@@ -233,11 +255,6 @@ class TestRecords:
         assert [next(lines) for _ in first] == first
         with pytest.raises(RuntimeError, match="the second bit length"):
             next(lines)
-
-    def test_format_records_rejects_an_unknown_convention(self):
-        # The check records_scan makes: a lower-case "s" is not "S".
-        with pytest.raises(ValueError, match="convention must be 'A' or 'S'"):
-            next(cli.format_records(closedform.kbit_listing((5,)), "plain", "s"))
 
     def test_requires_a_range_option(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -656,12 +673,6 @@ def test_malformed_ceiling_is_usage_error(capsys, monkeypatch, raw, message, arg
     assert err.splitlines() == [f"error: {MAX_BITS_ENV_VAR} {message}"]
 
 
-class TestParseBfile:
-    def test_skips_comments_and_blanks(self):
-        text = "# header\n\n0 0\n1 1\n  3 2  \n"
-        assert parse_bfile(text) == [(0, 0), (1, 1), (3, 2)]
-
-
 @pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int-to-str limit"
 )
@@ -729,7 +740,11 @@ def test_decimal_rows_equal_kbit_rows(convention):
         assert rows == [(k, *row) for row in expected]
         assert all(type(n) is Decimal for _, index, value, *_ in rows for n in (index, value))
         # Under "S" each decimal index moves down by one exactly, in the listing's context.
-        lines = cli.format_records(cli._closed_form(range(k, k + 1)), "bfile", convention)
+        if convention == "S":  # "A" index 1 is s-index 0
+            listing = shifted_listing(cli._closed_form, range(k if k > 1 else 0, k + 1))
+        else:
+            listing = cli._closed_form(range(k, k + 1))
+        lines = cli.format_records(listing, "bfile")
         assert list(lines) == [f"{index - shift} {value}\n" for index, value, _, _ in expected]
 
 

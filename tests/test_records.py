@@ -7,6 +7,7 @@ import pytest
 from sternseq import (
     BudgetExceededError,
     audit_substring_properties,
+    cli,
     fib,
     g_value,
     records_scan,
@@ -15,6 +16,7 @@ from sternseq import (
 )
 from sternseq.budget import MAX_BITS_ENV_VAR
 from sternseq.closedform import scan_listing
+from sternseq.records import shifted_listing
 from sternseq.tables import FIRST_RECORDS, SMALL_BITLENGTH_RECORDS
 
 
@@ -137,6 +139,22 @@ def _running_maximum(shift, k_max=12):
 
 
 _RUNNING_MAXIMUM = {"A": _running_maximum(0), "S": _running_maximum(1)}
+
+
+@pytest.mark.parametrize("source", [scan_listing, cli._closed_form], ids=["scan", "closed-form"])
+def test_shifted_listing_is_running_maximum_of_s_by_bit_length(source):
+    # Independent of the "A" listings that shifted_listing reads.
+    naive = [(n.bit_length(), n, v) for n, v in _running_maximum(1, k_max=14)]
+    for k_values in [*(range(k, k + 1) for k in range(15)), range(0, 15)]:
+        ks, found = [], []
+        for k, rows in shifted_listing(source, k_values):
+            ks.append(k)
+            for index, value, family, p in rows:
+                found.append((k, int(index), int(value)))
+                if family is not None:
+                    assert family.bits(k // 2, p) == format(int(index), "b")
+        assert ks == [k for k in k_values if k != 1]  # s-index 0 has k 0; none has 1 bit
+        assert found == [(k, n, v) for k, n, v in naive if k in k_values]
 
 
 class TestScanCells:

@@ -10,7 +10,6 @@ from sternseq import (
     BOTTOM,
     Comparator,
     Mat2,
-    delta,
     dominates,
     double_prime,
     fib,
@@ -286,19 +285,3 @@ class TestFibonacciValues:
             (fib(2 * i), fib(2 * i - 1)),
         )
 
-
-class TestDelta:
-    @pytest.mark.parametrize(
-        "x, expected", [("1010100", 1), ("100100", 2), ("", 0), ("10", 0)]
-    )
-    def test_examples(self, x, expected):
-        assert delta(x) == expected
-
-    @given(st.lists(st.sampled_from(["10", "100"]), max_size=12))
-    @settings(max_examples=200)
-    def test_counts_hundred_blocks(self, blocks):
-        assert delta("".join(blocks)) == blocks.count("100")
-
-    def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            delta("120")
