@@ -11,6 +11,10 @@ Subcommands::
 Exit codes: 0 success (also when the reader stops early, as ``head`` does),
 1 verification failure, 2 usage or write error, 3 scan ceiling exceeded: the
 indices to scan go beyond the ceiling on index bits (``STERNSEQ_MAX_BITS``).
+
+:func:`main` starts numpy's OpenBLAS with one thread unless
+``OPENBLAS_NUM_THREADS`` is set: sternseq calls no BLAS routine, so a
+thread pool would only slow start-up.
 """
 
 from __future__ import annotations
@@ -356,6 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Subcommands import numpy lazily, so this is in place when OpenBLAS starts its threads.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         memory_ceiling_bits()  # checked before parsing, so that --help reports a bad value too
     except ValueError as exc:

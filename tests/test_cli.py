@@ -472,10 +472,7 @@ def test_scalar_commands_do_not_import_numpy():
         "sternseq.cli.main(['records', '--bits', '40', '--source', 'closed-form'])\n"
         "assert 'numpy' not in sys.modules, 'imported by a scalar command'\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=False
-    )
+    result = _run_child(script)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[0] == "5"
 
@@ -756,12 +753,56 @@ def test_records_leaves_the_decimal_context_unchanged(capsys):
     assert (context.prec, context.Emax, dict(context.traps), dict(context.flags)) == settings
 
 
+def _child_env():
+    """This session's environment for a fresh interpreter, with no ``OPENBLAS_NUM_THREADS``.
+
+    In-process ``main`` calls earlier in the session have set that variable.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    return env
+
+
+def _run_child(script):
+    """``script`` run to its end in a fresh interpreter, its output captured as text."""
+    argv = [sys.executable, "-c", script]
+    return subprocess.run(argv, capture_output=True, text=True, env=_child_env(), check=False)
+
+
 def _spawn(argv, **kwargs):
     """The command line in a fresh interpreter, as the console script runs it."""
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    env = _child_env()
     env.pop("PYTHONUNBUFFERED", None)  # standard output is buffered, as a user runs it
     script = "import sys; from sternseq.cli import main; sys.exit(main())"
     return subprocess.Popen([sys.executable, "-c", script, *argv], env=env, **kwargs)
+
+
+class TestOpenBlasThreads:
+    def test_main_asks_for_one_thread_when_unset(self, capsys, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert main(["value", "11"]) == EXIT_OK
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+    def test_main_keeps_the_callers_setting(self, capsys, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        assert main(["value", "11"]) == EXIT_OK
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+
+    def test_import_leaves_the_variable_unset(self):
+        script = "import os, sternseq, sternseq.cli; assert 'OPENBLAS_NUM_THREADS' not in os.environ"
+        result = _run_child(script)
+        assert result.returncode == 0, result.stderr
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+    def test_plot_runs_on_one_thread(self):
+        script = (
+            "import os; from sternseq.cli import main\n"
+            "main(['plot', '--max', '3'])\n"
+            "print(len(os.listdir('/proc/self/task')))\n"
+        )
+        result = _run_child(script)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["0,0,0", "1,1,1", "2,1,1", "3,2,2", "1"]
 
 
 def _quiet_after_close(proc):
