@@ -33,7 +33,7 @@ from .budget import (
     memory_ceiling_bits,
 )
 from .closedform import kbit_listing, scan_listing
-from .core import hyperbinary_count_dp, stern_a, stern_range, stern_s
+from .core import hyperbinary_count_dp, stern_a, stern_range
 from .records import check_scan_budget, records_scan, shifted_listing
 from .strings import g_value
 from .tables import FIRST_RECORDS, FIRST_RECORDS_BITS, SMALL_BITLENGTH_MAX
@@ -103,7 +103,7 @@ def format_records(listing, fmt: str):
     ``listing`` yields ``(k, rows)`` as
     :func:`~sternseq.closedform.kbit_listing` does: the record-setters
     whose index has ``k`` bits, in index order, as rows ``(index, value,
-    family, parameter)`` of ``int`` or ``decimal.Decimal`` numbers.  A row
+    family, parameter)`` of ``int`` or exact decimal numbers.  A row
     with a family takes its bits from the family's pattern, not from its
     index; ``bfile`` makes no bits.  The text of a line other than its
     index, bits and value is fixed once for each run of rows of one
@@ -136,20 +136,6 @@ def format_records(listing, fmt: str):
             yield f"{head}{index!s}{after_index}{bits}{after_bits}{value!s}{tail}"
 
 
-def _closed_form(k_values: range):
-    """The closed-form listing of the bit lengths ``k_values`` in exact decimal.
-
-    The exact context is current from the first row read to the end of
-    the listing, so that :func:`~sternseq.records.shifted_listing` moves indices in it.
-    """
-    import decimal
-
-    traps = [decimal.Inexact, decimal.Rounded, decimal.InvalidOperation]
-    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=traps)
-    with decimal.localcontext(exact):
-        yield from kbit_listing([k for k in k_values if k], decimal.Decimal(1))  # a(0) has none
-
-
 # ----------------------------- subcommands -----------------------------
 
 
@@ -159,7 +145,7 @@ def cmd_value(args) -> int:
         raise UsageError("the index must be non-negative")
     shifted = n if args.convention == "S" else n - 1
     if args.method == "recurrence":
-        value = stern_s(n) if args.convention == "S" else stern_a(n)
+        value = stern_a(shifted + 1)
     elif args.method == "dp":
         value = 0 if shifted < 0 else hyperbinary_count_dp(shifted)
     else:  # matrix
@@ -174,7 +160,7 @@ def cmd_records(args) -> int:
     if k < 1:
         raise UsageError("bit length must be >= 1")
     k_values = range(k if exact_bits else 0, k + 1)
-    source = scan_listing if args.source == "scan" else _closed_form
+    source = scan_listing if args.source == "scan" else kbit_listing
     listing = shifted_listing(source, k_values) if args.convention == "S" else source(k_values)
     with _output(args.output) as out:
         out.writelines(format_records(listing, args.format))

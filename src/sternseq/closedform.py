@@ -26,16 +26,16 @@ same table.
 
 Within a bit length the families' indices follow each other in the order
 listed above, and each grows with its parameter, so a row is the runs of
-its families one after another.  :func:`kbit_rows` yields those runs, one
-family at a time, and checks that every index exceeds the last and has
-``k`` bits.  :func:`kbit_listing` yields the rows of many bit lengths from
-one pair of tables built for the longest; ``sternseq records`` asks for
-them in exact decimal, so it never converts an index from binary to
-decimal text.  :func:`scan_listing` lists one brute-force scan, whose
-record-setters are plain ``(index, value)`` pairs, in the same shape, the
-one place that splits it by bit length; :func:`cross_validate` compares it
-with the closed forms, and each index formula with its family's bit
-pattern.
+its families one after another.  :func:`kbit_rows` yields those runs in
+``int``, one family at a time, and checks that every index exceeds the
+last and has ``k`` bits.  :func:`kbit_listing` yields the rows of many bit
+lengths, from one pair of tables built for the longest, in exact decimal,
+a number type and context that only this module picks; so ``sternseq
+records`` never converts an index from binary to decimal text.
+:func:`scan_listing` lists one brute-force scan, whose record-setters are
+plain ``(index, value)`` pairs, in the same shape, the one place that
+splits it by bit length; :func:`cross_validate` compares it with the
+closed forms, and each index formula with its family's bit pattern.
 """
 
 from __future__ import annotations
@@ -196,34 +196,49 @@ def _rows(k: int, one, P, F, L):
             yield index, value_of(n, p, F, L), family, p
 
 
-def kbit_listing(k_values, one=1):
-    """Yield ``(k, rows)`` for each ``k`` in the sequence ``k_values``, as :func:`kbit_rows` would.
+def kbit_listing(k_values):
+    """Yield ``(k, rows)`` for each nonzero ``k`` of the sequence ``k_values``, in decimal.
 
-    The tables are built once, when the first row is asked for, for the
-    largest ``k``; every bit length reads a prefix of them.  Each
-    ``rows`` makes its rows as they are read, family run by family run,
-    which is the shape :func:`sternseq.cli.format_records` writes.
+    ``rows`` are those of :func:`kbit_rows`, with ``decimal.Decimal`` numbers
+    in an exact context (unbounded precision; ``Inexact``, ``Rounded`` and
+    ``InvalidOperation`` trapped).  The tables are built in it once, when
+    the first row is asked for, for the largest ``k``; every bit length
+    reads a prefix of them.  Each ``rows`` makes its own copy of the
+    context current from its first row to its last, so its rows stay exact
+    whatever context the reader set, also after the listing is closed.
+    Rows are made as they are read, family run by family run, the shape
+    :func:`sternseq.cli.format_records` writes.
     """
-    tables = _tables(max(k_values, default=1), one)
+    import decimal
+
+    traps = [decimal.Inexact, decimal.Rounded, decimal.InvalidOperation]
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=traps)
+    one = decimal.Decimal(1)
+    with decimal.localcontext(exact):
+        tables = _tables(max(k_values, default=1), one)
+
+    def rows(k):
+        with decimal.localcontext(exact):
+            yield from _rows(k, one, *tables)
+
     for k in k_values:
-        yield k, _rows(k, one, *tables)
+        if k:  # a(0) has none
+            yield k, rows(k)
 
 
-def kbit_rows(k: int, one=1):
+def kbit_rows(k: int):
     """Yield ``(index, value, family, parameter)`` of each ``k``-bit record-setter, in index order.
 
-    Numbers have the type of ``one``: ``int``, or ``decimal.Decimal`` in an
-    exact context.  Below 12 bits they come from the frozen table, and
-    ``family`` and ``parameter`` are ``None``.  From 12 bits on, ``family``
-    is the family's table entry (``family.family_id`` names it and
-    ``family.bits(k // 2, parameter)`` is the row's binary pattern), and
-    the rows are made family by family, over each family's parameter
+    Numbers are ``int``.  Below 12 bits they come from the frozen table,
+    and ``family`` and ``parameter`` are ``None``.  From 12 bits on,
+    ``family`` is the family's table entry (``family.family_id`` names it
+    and ``family.bits(k // 2, parameter)`` is the row's binary pattern),
+    and the rows are made family by family, over each family's parameter
     range, as they are yielded.  The row count is checked against
     :func:`count_kbit`, and each index must exceed the last and lie in
     ``[P[k-1], P[k])``; either failure raises ``RuntimeError``.
     """
-    for _, rows in kbit_listing((k,), one):
-        yield from rows
+    yield from _rows(k, 1, *_tables(k, 1))
 
 
 def scan_listing(k_values: range):

@@ -42,8 +42,6 @@ __all__ = [
     "verify_extremal_lemmas",
 ]
 
-Convention = Literal["A", "S"]
-
 _SCAN_CHUNK = 1 << 20
 
 #: Bit length from which the structural substring properties are
@@ -56,12 +54,6 @@ HARD_AUDIT_MIN_BITS = SMALL_BITLENGTH_MAX + 1
 INTERIOR_1000_EXCEPTION = "1001000"
 
 _BLOCKS_RE = re.compile(r"(?:10{1,3})+")
-
-
-def _validate_convention(convention: str) -> Convention:
-    if convention not in ("A", "S"):
-        raise ValueError(f"convention must be 'A' or 'S', got {convention!r}")
-    return convention  # type: ignore[return-value]
 
 
 @lru_cache(maxsize=8)
@@ -90,7 +82,7 @@ def check_scan_budget(k_max: int) -> None:
     check_bits_budget(k_max, f"scan of all indices below 2**{k_max}")
 
 
-def records_scan(k_max: int, convention: Convention = "A") -> list[tuple[int, int]]:
+def records_scan(k_max: int, convention: Literal["A", "S"] = "A") -> list[tuple[int, int]]:
     """The ``(index, value)`` of every record-setter with index below ``2**k_max``, in index order.
 
     Index 0 is included in both conventions (value 0 for "A", 1 for
@@ -102,7 +94,8 @@ def records_scan(k_max: int, convention: Convention = "A") -> list[tuple[int, in
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    convention = _validate_convention(convention)
+    if convention not in ("A", "S"):
+        raise ValueError(f"convention must be 'A' or 'S', got {convention!r}")
     check_scan_budget(k_max)
     scan = _records_scan_cached(k_max)
     if convention == "A":
@@ -115,9 +108,9 @@ def shifted_listing(source, k_values: range):
 
     ``source(range)``, such as :func:`~sternseq.closedform.scan_listing`, is
     called now, for the "A" bit lengths: 1 for s-index 0, none for 1 bit and
-    ``k`` for ``k >= 2``.  As a row is read, its index moves down by one in the
-    current decimal context and its family's pattern ends in 0, not 1; ``k``
-    1 becomes 0.
+    ``k`` for ``k >= 2``.  As a row is read, its index moves down by one,
+    exactly for :func:`~sternseq.closedform.kbit_listing`'s decimal rows too,
+    and its family's pattern ends in 0, not 1; ``k`` 1 becomes 0.
     """
     ks = [k or 1 for k in k_values if k != 1]
     listing = source(range(min(ks, default=1), max(ks, default=0) + 1))

@@ -218,11 +218,11 @@ class TestRecords:
             return shifted_listing(source, k_values) if convention == "S" else source(k_values)
 
         listing = [
-            (k, list(rows))  # each listing read while it is current, as format_records reads it
+            (k, list(rows))
             for source in (
                 read(closedform.scan_listing, range(0, 5)),  # index 0, whose bits are "0"
                 read(closedform.scan_listing, range(13, 14)),
-                read(cli._closed_form, range(1, 15)),  # decimal from 12 bits on
+                read(closedform.kbit_listing, range(1, 15)),  # decimal
             )
             for k, rows in source
         ]
@@ -647,7 +647,7 @@ class TestVerify:
         rows = closedform.kbit_rows
         (first, *_), (second, *_) = itertools.islice(rows(13), 2)
         monkeypatch.setattr(
-            closedform, "kbit_rows", lambda k, one=1: itertools.islice(rows(k, one), k == 13, None)
+            closedform, "kbit_rows", lambda k: itertools.islice(rows(k), k == 13, None)
         )
         code, out, _ = run(capsys, "verify", "--k-range", "12..13", "--suites", "crossval")
         assert code == 1
@@ -706,7 +706,7 @@ class TestBeyondIntStrLimit:
         if fmt != "bfile":
             # Each of the 10,724 lines would also carry 14,300 bits: write the last row only.
             last_row = (14300, iter([e3_row]))
-            monkeypatch.setattr(cli, "kbit_listing", lambda ks, one: iter([last_row]))
+            monkeypatch.setattr(cli, "kbit_listing", lambda ks: iter([last_row]))
         limit = sys.get_int_max_str_digits()
         code, out, err = run(
             capsys, "records", "--bits", "14300", "--source", "closed-form", "--format", fmt
@@ -732,15 +732,15 @@ class TestBeyondIntStrLimit:
 def test_decimal_rows_equal_kbit_rows(convention):
     shift = 1 if convention == "S" else 0
     for k in [*range(1, 201), 511, 512, 999, 1000]:
-        rows = [(kk, *row) for kk, rows in cli._closed_form(range(k, k + 1)) for row in rows]
+        rows = [(kk, *row) for kk, rows in closedform.kbit_listing(range(k, k + 1)) for row in rows]
         expected = list(closedform.kbit_rows(k))
         assert rows == [(k, *row) for row in expected]
         assert all(type(n) is Decimal for _, index, value, *_ in rows for n in (index, value))
-        # Under "S" each decimal index moves down by one exactly, in the listing's context.
+        # Under "S" each decimal index moves down by one exactly.
         if convention == "S":  # "A" index 1 is s-index 0
-            listing = shifted_listing(cli._closed_form, range(k if k > 1 else 0, k + 1))
+            listing = shifted_listing(closedform.kbit_listing, range(k if k > 1 else 0, k + 1))
         else:
-            listing = cli._closed_form(range(k, k + 1))
+            listing = closedform.kbit_listing(range(k, k + 1))
         lines = cli.format_records(listing, "bfile")
         assert list(lines) == [f"{index - shift} {value}\n" for index, value, _, _ in expected]
 

@@ -13,9 +13,10 @@ from sternseq import closedform, records_scan
 from sternseq import records as records_module
 from sternseq.budget import MAX_BITS_ENV_VAR, BudgetExceededError
 from sternseq.closedform import kbit_listing, kbit_rows, scan_listing
+from sternseq.records import shifted_listing
 from sternseq.tables import SMALL_BITLENGTH_MAX, SMALL_BITLENGTH_RECORDS
 
-#: An exact decimal context, as ``sternseq records`` lists closed forms in.
+#: An exact decimal context, as :func:`kbit_listing` builds its tables in.
 _EXACT = decimal.Context(
     prec=decimal.MAX_PREC,
     Emax=decimal.MAX_EMAX,
@@ -198,23 +199,38 @@ class TestGenerateKbit:
     def test_decimal_rows_do_not_depend_on_table_size(self):
         # `sternseq records` reads decimal tables built for its longest bit length.
         k = 101
-        with decimal.localcontext(_EXACT):
-            (_, rows), _ = kbit_listing((k, 3 * k), Decimal(1))
-            rows = list(rows)
-            assert rows == list(kbit_rows(k, Decimal(1))) == list(kbit_rows(k))
+        (_, rows), _ = kbit_listing((k, 3 * k))
+        rows = list(rows)
+        assert rows == list(next(kbit_listing((k,)))[1]) == list(kbit_rows(k))
         assert {type(n) for index, value, _, _ in rows for n in (index, value)} == {Decimal}
+
+    def test_decimal_rows_stay_exact_in_any_context(self):
+        # The reader's context, set before the listing, rounds to 5 digits and traps nothing.
+        expected = list(kbit_rows(600))
+        with decimal.localcontext(decimal.Context(prec=5, traps=[])) as context:
+            settings = (context.prec, context.Emax, dict(context.traps), dict(context.flags))
+            k, rows = next(kbit_listing([600]))  # the listing is closed here, its rows are not
+            rows = list(rows)
+            shifted = [row[0] for _, s in shifted_listing(kbit_listing, range(600, 601)) for row in s]
+            assert decimal.getcontext() is context
+            assert (context.prec, context.Emax, dict(context.traps), dict(context.flags)) == settings
+        assert (k, rows) == (600, expected)
+        assert {type(n) for index, value, _, _ in rows for n in (index, value)} == {Decimal}
+        assert shifted == [index - 1 for index, _, _, _ in expected]
 
     def test_validation(self):
         with pytest.raises(ValueError):
             list(kbit_rows(0))
 
-    @pytest.mark.parametrize("one", [1, Decimal(1)], ids=["int", "Decimal"])
-    def test_row_checks_hold_for_both_number_types(self, monkeypatch, one):
+    @pytest.mark.parametrize(
+        "rows_of", [kbit_rows, lambda k: next(kbit_listing([k]))[1]], ids=["int", "Decimal"]
+    )
+    def test_row_checks_hold_for_both_number_types(self, monkeypatch, rows_of):
         # E3, the last 12-bit row, pushed past 2**12 by a corrupted index body.
         e3 = closedform._FAMILIES["E3"]
         corrupted = e3._replace(index=lambda n, p, P: e3.index(n, p, P) + P[2 * n])
         monkeypatch.setitem(closedform._FAMILIES, "E3", corrupted)
-        rows = kbit_rows(12, one)
+        rows = rows_of(12)
         assert [i for i, _, _, _ in itertools.islice(rows, 7)][-1] == 2709
         with pytest.raises(RuntimeError, match="out of order or outside k bits"):
             next(rows)
@@ -225,9 +241,9 @@ class TestGenerateKbit:
         e1 = closedform._FAMILIES["E1"]
         reversed_run = e1._replace(params=lambda n: e1.params(n)[::-1])
         monkeypatch.setitem(closedform._FAMILIES, "E1", reversed_run)
-        for one in (1, Decimal(1)):
+        for rows in (kbit_rows(14), next(kbit_listing([14]))[1]):
             with pytest.raises(RuntimeError, match="out of order or outside k bits"):
-                list(kbit_rows(14, one))
+                list(rows)
 
     @pytest.mark.parametrize("k, expected", [(12, 8), (13, 10), (7, 5), (1, 1), (11, 8)])
     def test_count_kbit(self, k, expected):

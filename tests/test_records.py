@@ -7,7 +7,6 @@ import pytest
 from sternseq import (
     BudgetExceededError,
     audit_substring_properties,
-    cli,
     fib,
     g_value,
     records_scan,
@@ -15,7 +14,7 @@ from sternseq import (
     verify_extremal_lemmas,
 )
 from sternseq.budget import MAX_BITS_ENV_VAR
-from sternseq.closedform import scan_listing
+from sternseq.closedform import kbit_listing, scan_listing
 from sternseq.records import shifted_listing
 from sternseq.tables import FIRST_RECORDS, SMALL_BITLENGTH_RECORDS
 
@@ -72,7 +71,7 @@ class TestRecordsScan:
     def test_validation(self):
         with pytest.raises(ValueError):
             records_scan(0, "A")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="convention must be 'A' or 'S', got 'a'"):
             records_scan(4, "a")
 
     def test_budget(self, monkeypatch):
@@ -141,7 +140,7 @@ def _running_maximum(shift, k_max=12):
 _RUNNING_MAXIMUM = {"A": _running_maximum(0), "S": _running_maximum(1)}
 
 
-@pytest.mark.parametrize("source", [scan_listing, cli._closed_form], ids=["scan", "closed-form"])
+@pytest.mark.parametrize("source", [scan_listing, kbit_listing], ids=["scan", "closed-form"])
 def test_shifted_listing_is_running_maximum_of_s_by_bit_length(source):
     # Independent of the "A" listings that shifted_listing reads.
     naive = [(n.bit_length(), n, v) for n, v in _running_maximum(1, k_max=14)]
