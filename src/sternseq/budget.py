@@ -2,12 +2,12 @@
 
 Full record scans and ``plot`` are bounded by a ceiling on the index
 bit length: indices below 2**ceiling are allowed, anything larger
-raises :class:`BudgetExceededError`.  Both run in fixed-size chunks,
-so the ceiling bounds the work (the indices scanned), not the memory:
-a full scan at the default of 24 bits (``verify --k-range 12..24``)
-peaks at 46.2 MiB of resident memory, and neither peak grows with the
-ceiling.  The ``STERNSEQ_MAX_BITS`` environment variable raises or
-lowers it.
+raises :class:`BudgetExceededError`.  Both read fixed-size windows
+(``core.running_windows``), so the ceiling bounds the work (the indices
+scanned), not the memory: a full scan at the default of 24 bits
+(``verify --k-range 12..24``) peaks at 29.7 MiB of resident memory,
+and neither peak grows with the ceiling.  The ``STERNSEQ_MAX_BITS``
+environment variable raises or lowers it.
 """
 
 from __future__ import annotations

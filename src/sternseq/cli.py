@@ -33,7 +33,7 @@ from .budget import (
     memory_ceiling_bits,
 )
 from .closedform import kbit_listing, scan_listing
-from .core import hyperbinary_count_dp, stern_a, stern_range
+from .core import hyperbinary_count_dp, running_windows, stern_a
 from .records import check_scan_budget, records_scan, shifted_listing
 from .strings import g_value
 from .tables import FIRST_RECORDS, FIRST_RECORDS_BITS, SMALL_BITLENGTH_MAX
@@ -45,9 +45,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 FORMATS = ("plain", "csv", "jsonlines", "bfile")
-
-#: Rows of ``plot`` computed and written per window.
-_PLOT_CHUNK = 1 << 16
 
 
 class UsageError(Exception):
@@ -223,18 +220,12 @@ def cmd_plot(args) -> int:
         raise UsageError("--max must be non-negative")
     check_bits_budget(args.max.bit_length(), f"plot of values up to index {args.max}")
     sep = "," if args.format == "csv" else " "
-    top = 0  # the running maximum before the window
     with _output(args.output) as out:
         out.flush()  # the windows go straight to the byte stream underneath, if there is one
         write = out.buffer.write if hasattr(out, "buffer") else lambda b: out.write(b.decode())
-        for lo in range(0, args.max + 1, _PLOT_CHUNK):
-            hi = min(lo + _PLOT_CHUNK, args.max + 1)
-            values = stern_range(lo, hi)
-            running = np.maximum.accumulate(values)
-            np.maximum(running, top, out=running)
-            top = running[-1]
-            columns = (np.arange(lo, hi, dtype=np.int64), values, running)
-            write(_decimal_lines(columns, sep))
+        for lo, values, running in running_windows(0, args.max + 1):
+            indices = np.arange(lo, lo + len(values), dtype=np.int64)
+            write(_decimal_lines((indices, values, running), sep))
     return EXIT_OK
 
 

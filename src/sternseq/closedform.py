@@ -201,11 +201,11 @@ def kbit_listing(k_values):
 
     ``rows`` are those of :func:`kbit_rows`, with ``decimal.Decimal`` numbers
     in an exact context (unbounded precision; ``Inexact``, ``Rounded`` and
-    ``InvalidOperation`` trapped).  The tables are built in it once, when
-    the first row is asked for, for the largest ``k``; every bit length
-    reads a prefix of them.  Each ``rows`` makes its own copy of the
+    ``InvalidOperation`` trapped), whose tables are built once, at the first
+    row, for the largest ``k``.  Each ``rows`` makes its own copy of the
     context current from its first row to its last, so its rows stay exact
-    whatever context the reader set, also after the listing is closed.
+    whatever context the reader set, also after the listing is closed; but
+    two ``rows`` read interleaved leave the reader in a copy of that context.
     Rows are made as they are read, family run by family run, the shape
     :func:`sternseq.cli.format_records` writes.
     """

@@ -7,9 +7,9 @@ The sequence (OEIS A002487) is defined by ``a(0) = 0``, ``a(1) = 1``,
 
 Besides the recurrence this module provides two independent oracles --
 explicit enumeration of the representations and a carry-state dynamic
-program over the binary digits -- plus dense windows
-``a(lo) .. a(hi - 1)`` of any index range, computed without earlier
-values, for brute-force scans.
+program over the binary digits -- plus dense windows ``a(lo) .. a(hi - 1)``
+of any index range, computed without earlier values, and the one windowed
+pass with a running maximum that brute-force scans and ``plot`` read.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ if TYPE_CHECKING:
 __all__ = [
     "hyperbinary_count_dp",
     "hyperbinary_enumerate",
+    "running_windows",
     "stern_a",
     "stern_range",
     "stern_s",
@@ -118,6 +119,8 @@ def hyperbinary_enumerate(n: int) -> list[str]:
     return list(_iter_hyperbinary(n))
 
 
+_WINDOW = 1 << 16  # indices per window of running_windows
+
 # Row values for k-bit indices are bounded by F(k+1) (Lucas), so 32-bit
 # cells hold rows up to k = 45 (F46 < 2**31) and 64-bit up to k = 91.
 _WIDTH_32_MAX_BITS = 45
@@ -168,3 +171,22 @@ def stern_range(lo: int, hi: int) -> np.ndarray:
         out[0::2] = parents[:n_even_first] + parents[1 : n_even_first + 1]
         out[1::2] = parents[1 : n_odd_first + 1]
     return out
+
+
+def running_windows(lo: int, hi: int):
+    """Yield ``(start, values, running)`` over ``[lo, hi)`` in windows of up to ``2**16`` indices.
+
+    ``values`` is the window's :func:`stern_range`, ``running`` the maximum of ``a`` from ``lo``
+    to each index: a constant column, not accumulated, where no value exceeds the one carried in.
+    """
+    import numpy as np
+
+    top = 0  # the running maximum before the window; no value is below it
+    for start in range(lo, hi, _WINDOW):
+        values = stern_range(start, min(start + _WINDOW, hi))
+        if values.max() <= top:
+            running = np.full(len(values), top, values.dtype)
+        else:
+            running = np.maximum.accumulate(np.maximum(values, top))
+            top = int(running[-1])
+        yield start, values, running

@@ -7,7 +7,7 @@ sequence ``a`` itself (OEIS A212288), "S" records the shifted sequence
 on, each moved down by one with its value; only :func:`records_scan` and
 :func:`shifted_listing` apply that map.
 
-The scan here is deliberately dumb (linear, chunked) so it can act
+The scan here is deliberately dumb (linear, windowed) so it can act
 as ground truth for the closed-form classification and for the
 structural properties of record-setters: no ``11`` substring, no
 ``10000`` substring, ``1000`` only as a prefix, and decomposability
@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Literal
 
 from .budget import check_bits_budget
-from .core import stern_range
+from .core import running_windows
 from .fibonacci import fib
 from .strings import Comparator, dominates, g_value, mu_of
 from .tables import SMALL_BITLENGTH_MAX
@@ -41,8 +41,6 @@ __all__ = [
     "verify_dominance_witnesses",
     "verify_extremal_lemmas",
 ]
-
-_SCAN_CHUNK = 1 << 20
 
 #: Bit length from which the structural substring properties are
 #: asserted unconditionally, the first one the closed forms cover;
@@ -61,19 +59,11 @@ def _records_scan_cached(k_max: int) -> tuple[tuple[int, int], ...]:
     import numpy as np
 
     records = [(0, 0)]
-    top = 0  # the largest value before the chunk
-    hi = 1 << k_max
-    for lo in range(1, hi, _SCAN_CHUNK):
-        vals = stern_range(lo, min(lo + _SCAN_CHUNK, hi))
-        if vals.max() <= top:
-            continue
-        if vals[0] > top:
-            records.append((lo, int(vals[0])))
-        running = np.maximum.accumulate(vals)
-        np.maximum(running, top, out=running)
-        for pos in np.flatnonzero(running[1:] > running[:-1]) + 1:
-            records.append((lo + int(pos), int(vals[pos])))
-        top = running[-1]
+    for lo, _, running in running_windows(1, 1 << k_max):
+        top = records[-1][1]  # the running maximum before the window
+        if running[-1] > top:
+            rises = np.flatnonzero(np.insert(running[1:] > running[:-1], 0, running[0] > top))
+            records.extend(zip((rises + lo).tolist(), running[rises].tolist()))
     return tuple(records)
 
 

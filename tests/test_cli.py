@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sternseq import cli, count_kbit, fib, stern_a
-from sternseq import closedform
+from sternseq import closedform, core
 from sternseq.budget import MAX_BITS_ENV_VAR
 from sternseq.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, FORMATS, main
 from sternseq.records import shifted_listing
@@ -315,7 +315,7 @@ class TestPlot:
     def test_windows_match_per_row_reference(self, capsys, monkeypatch, fmt, sep):
         # 1201 rows in windows of 7: the maximum is carried across 171
         # window boundaries, and the last window holds only 4 rows.
-        monkeypatch.setattr(cli, "_PLOT_CHUNK", 7)
+        monkeypatch.setattr(core, "_WINDOW", 7)
         assert main(["plot", "--max", "1200", "--format", fmt]) == EXIT_OK
         expected, top = [], 0
         for n in range(1201):
@@ -326,7 +326,7 @@ class TestPlot:
     def test_window_across_a_power_of_ten(self, capsys):
         # With the default window, [65536, 131072) holds the indices on
         # both sides of 10**5, so the index column grows a digit inside it.
-        assert cli._PLOT_CHUNK == 1 << 16
+        assert core._WINDOW == 1 << 16
         assert main(["plot", "--max", "100050"]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 100051

@@ -1,5 +1,7 @@
 """Tests for the sequence core: recurrence, dense windows and rows, hyperbinary oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from sternseq import (
     stern_range,
     stern_s,
 )
+from sternseq import core
+from sternseq.core import running_windows
 from sternseq.tables import INITIAL_VALUES
 
 A_FIRST_16 = (0, 1, 1, 2, 1, 3, 2, 3, 1, 4, 3, 5, 2, 5, 3, 4)
@@ -177,6 +181,75 @@ class TestSternRow:
         window = stern_range(lo, lo + 64)
         assert window.dtype == np.dtype(object)
         assert window.tolist() == [stern_a(n) for n in range(lo, lo + 64)]
+
+
+_MAXIMUM = np.maximum
+
+
+class _CountedMaximum:
+    """``np.maximum``, counting the running maxima it accumulates."""
+
+    def __init__(self) -> None:
+        self.accumulated = 0
+
+    def __call__(self, *args, **kwargs):
+        return _MAXIMUM(*args, **kwargs)
+
+    def accumulate(self, *args, **kwargs):
+        self.accumulated += 1
+        return _MAXIMUM.accumulate(*args, **kwargs)
+
+
+def _running_windows(lo: int, hi: int, window: int) -> tuple[list, int]:
+    """``running_windows(lo, hi)`` in windows of ``window``, checked, and its count of accumulations.
+
+    The windows are contiguous from ``lo`` to ``hi`` and hold at most
+    ``window`` indices, ``values`` are ``stern_a`` and ``running`` is the
+    plain running maximum from ``lo``, in the cells of ``values``.
+    """
+    maximum = _CountedMaximum()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_WINDOW", window)
+        patch.setattr(np, "maximum", maximum)
+        windows = list(running_windows(lo, hi))
+    at = lo
+    for start, values, running in windows:
+        assert start == at and 0 < len(values) == len(running) <= window
+        assert running.dtype == values.dtype
+        at += len(values)
+    assert at == hi
+    values = [v for _, window_values, _ in windows for v in window_values.tolist()]
+    assert values == [stern_a(n) for n in range(lo, hi)]
+    assert [r for *_, running in windows for r in running.tolist()] == list(
+        itertools.accumulate(values, max)
+    )
+    return windows, maximum.accumulated
+
+
+class TestRunningWindows:
+    @pytest.mark.parametrize(
+        "bits, narrow, wide", [(45, np.uint32, np.uint64), (91, np.uint64, object)]
+    )
+    def test_pass_across_a_cell_width_boundary(self, bits, narrow, wide):
+        windows, accumulated = _running_windows(2**bits - 40, 2**bits + 40, 16)
+        # The cells widen in the middle of the pass, and the maximum is carried across.
+        cells = [values.dtype for _, values, _ in windows]
+        assert cells == [np.dtype(narrow)] * 2 + [np.dtype(wide)] * 3
+        # Only the windows that rise above the maximum carried in accumulate one.
+        tops = [0] + [running[-1] for *_, running in windows[:-1]]
+        rising = sum(values.max() > top for (_, values, _), top in zip(windows, tops))
+        assert accumulated == rising < len(windows)
+
+    @given(
+        st.sampled_from([45, 91]),
+        st.integers(-120, 120),
+        st.integers(0, 150),
+        st.integers(1, 40),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_any_window_size_near_cell_width_boundaries(self, bits, offset, length, window):
+        lo = 2**bits + offset
+        _running_windows(lo, lo + length, window)
 
 
 class TestHyperbinaryEnumeration:

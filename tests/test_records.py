@@ -170,9 +170,11 @@ class TestScanCells:
     def test_every_chunk_size_matches_running_maximum(
         self, monkeypatch, records_module, chunk, convention
     ):
-        # Small chunks carry the running maximum across many boundaries;
-        # chunk size 1 makes every record the first index of its chunk.
-        monkeypatch.setattr(records_module, "_SCAN_CHUNK", chunk)
+        # Small windows carry the running maximum across many boundaries;
+        # window size 1 makes every record the first index of its window.
+        from sternseq import core
+
+        monkeypatch.setattr(core, "_WINDOW", chunk)
         for k in range(1, 13):
             expected = [(n, v) for n, v in _RUNNING_MAXIMUM[convention] if n < 1 << k]
             assert records_scan(k, convention) == expected
@@ -186,17 +188,18 @@ class TestScanCells:
     def test_scan_asks_for_the_narrowest_exact_cells(self, monkeypatch, records_module, k):
         import numpy as np
 
+        from sternseq import core
         from sternseq.core import _cell_dtype
 
         cells = []
-        stern_range = records_module.stern_range
+        stern_range = core.stern_range
 
         def spy(lo, hi):
             window = stern_range(lo, hi)
             cells.append(window.dtype)
             return window
 
-        monkeypatch.setattr(records_module, "stern_range", spy)
+        monkeypatch.setattr(core, "stern_range", spy)
         records_scan(k, "A")
         assert cells and set(cells) == {_cell_dtype(k)} == {np.dtype(np.uint32)}
 
