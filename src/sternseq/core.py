@@ -142,26 +142,26 @@ def _cell_dtype(bits: int) -> np.dtype:
 def stern_range(lo: int, hi: int) -> np.ndarray:
     """Dense array of ``a(n)`` for ``lo <= n < hi``, in the narrowest exact cells.
 
-    The cells are chosen by the bit length of ``hi - 1``: ``uint32`` up to
-    45 bits, ``uint64`` up to 91, Python ints beyond (see :func:`_cell_dtype`).
+    The cells are chosen by the bit length of ``hi - 1``, once per call and
+    checked against the Lucas bound: ``uint32`` up to 45 bits, ``uint64`` up
+    to 91, Python ints beyond (see :func:`_cell_dtype`).
     Computed by recursive descent on the parent range
     ``[lo//2, hi//2]`` (even indices copy their parent, odd indices sum
     adjacent parents), so a chunk of any row costs O(chunk + log hi)
     without materializing earlier rows.
     """
-    import numpy as np
-
     if lo < 0 or hi < lo:
         raise ValueError(f"invalid index range [{lo}, {hi})")
-    dtype = _cell_dtype(max(hi - 1, 1).bit_length())
-    length = hi - lo
-    if length == 0:
-        return np.empty(0, dtype=dtype)
-    if hi <= 16 or length <= 8:
+    return _range(lo, hi, _cell_dtype(max(hi - 1, 1).bit_length()))
+
+
+def _range(lo: int, hi: int, dtype: np.dtype) -> np.ndarray:
+    import numpy as np
+
+    if hi <= 16 or hi - lo <= 8:
         return np.array([stern_a(n) for n in range(lo, hi)], dtype=dtype)
-    # The parents may sit in narrower cells; widen them before summing.
-    parents = stern_range(lo // 2, hi // 2 + 1).astype(dtype, copy=False)
-    out = np.empty(length, dtype=dtype)
+    parents = _range(lo // 2, hi // 2 + 1, dtype)
+    out = np.empty(hi - lo, dtype=dtype)
     n_even_first = (hi - lo + 1) // 2  # count of positions with i even
     n_odd_first = (hi - lo) // 2
     if lo % 2 == 0:

@@ -1,7 +1,9 @@
 """The verification suites run by ``sternseq verify``.
 
-:data:`SUITES` maps each suite name, in run order, to a check
-``(lo, hi) -> AuditReport`` over the bit-length range ``lo..hi``:
+:data:`SUITES` maps each suite name, in run order, to a pair: a check
+``(lo, hi) -> AuditReport`` over the bit-length range ``lo..hi``, and the
+largest scan that check makes, as ``(lo, hi) -> k``: it visits every index
+below ``2**k``, or none when ``k`` is 0.  The suites:
 
     tables      the frozen reference tables against the recurrence and the scan
     identities  the transfer-matrix identities on seeded random strings, the
@@ -35,7 +37,7 @@ from .tables import (
     SMALL_BITLENGTH_RECORDS,
 )
 
-__all__ = ["SCAN_BITS", "SUITES"]
+__all__ = ["SUITES"]
 
 IDENTITY_SAMPLES = 10_000
 IDENTITY_SEED = 20220926
@@ -103,24 +105,15 @@ def _identities() -> AuditReport:
     )
 
 
-# Each entry looks its check up by name when called, so that a function
+# Each check looks its function up by name when called, so that a function
 # replaced on this module (by a test or a tracer) is the one that runs.
 SUITES = {
-    "tables": lambda lo, hi: _tables(lo, hi),
-    "identities": lambda lo, hi: _identities(),
-    "substrings": lambda lo, hi: audit_substring_properties(hi),
-    "extremal": lambda lo, hi: verify_extremal_lemmas(max(8, (hi - 2) // 4)),
-    "crossval": lambda lo, hi: cross_validate(lo, hi),
-}
-
-#: The largest scan each suite makes, as ``(lo, hi) -> k``: it visits every
-#: index below ``2**k``, or none when ``k`` is 0.
-SCAN_BITS = {
-    "tables": lambda lo, hi: max(
-        [FIRST_RECORDS_BITS, *range(lo, min(hi, SMALL_BITLENGTH_MAX) + 1)]
+    "tables": (
+        lambda lo, hi: _tables(lo, hi),
+        lambda lo, hi: max([FIRST_RECORDS_BITS, *range(lo, min(hi, SMALL_BITLENGTH_MAX) + 1)]),
     ),
-    "identities": lambda lo, hi: 0,
-    "substrings": lambda lo, hi: hi,
-    "extremal": lambda lo, hi: 0,
-    "crossval": lambda lo, hi: hi,
+    "identities": (lambda lo, hi: _identities(), lambda lo, hi: 0),
+    "substrings": (lambda lo, hi: audit_substring_properties(hi), lambda lo, hi: hi),
+    "extremal": (lambda lo, hi: verify_extremal_lemmas(max(8, (hi - 2) // 4)), lambda lo, hi: 0),
+    "crossval": (lambda lo, hi: cross_validate(lo, hi), lambda lo, hi: hi),
 }

@@ -91,6 +91,10 @@ class TestSternRange:
 
     def test_empty_and_invalid(self):
         assert len(stern_range(5, 5)) == 0
+        # An empty range still has the cells of its width.
+        assert stern_range(5, 5).dtype == np.dtype(np.uint32)
+        assert stern_range(2**50, 2**50).dtype == np.dtype(np.uint64)
+        assert stern_range(2**100, 2**100).dtype == np.dtype(object)
         with pytest.raises(ValueError):
             stern_range(5, 4)
         with pytest.raises(ValueError):
@@ -174,6 +178,17 @@ class TestSternRow:
             core._cell_dtype(bits)
         with pytest.raises(OverflowError):
             stern_range(0, 100)
+
+    @pytest.mark.parametrize("lo, hi", [(0, 2**20), (2**45 - 100, 2**45 + 100)])
+    def test_cell_width_decided_once_per_call(self, monkeypatch, lo, hi):
+        # The recursion builds every level in the cells of the call's top index.
+        widths = []
+        cell_dtype = core._cell_dtype
+        monkeypatch.setattr(
+            core, "_cell_dtype", lambda bits: widths.append(bits) or cell_dtype(bits)
+        )
+        stern_range(lo, hi)
+        assert widths == [(hi - 1).bit_length()]
 
     def test_object_dtype_path(self):
         # Past 91-bit indices the cells are Python ints, and remain exact.
