@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .budget import check_bits_budget
 from .core import running_windows
@@ -117,19 +117,18 @@ def _shifted_rows(rows):
         yield index - 1, value, shifted, parameter
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """Outcome of an exhaustive property audit.
 
     ``violations`` holds ``(index, property)`` pairs for hard failures;
     an empty list means every audited property held.  ``informational``
     collects expected small-size exceptions that are reported but not
-    counted as failures.
+    counted as failures; it defaults to the empty tuple.
     """
 
     violations: list[tuple[int, str]]
     checked_count: int
-    informational: list[tuple[int, str]] = field(default_factory=list)
+    informational: Sequence[tuple[int, str]] = ()
 
     @property
     def ok(self) -> bool:
@@ -178,8 +177,7 @@ def audit_substring_properties(k_max: int) -> AuditReport:
     return AuditReport(violations, checked, informational)
 
 
-@dataclass(frozen=True)
-class DominanceWitness:
+class DominanceWitness(NamedTuple):
     """A pinned replacement argument: ``smaller`` dominates ``excluded``.
 
     ``pinned_smaller``/``pinned_excluded`` freeze the entries of each

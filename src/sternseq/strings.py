@@ -12,8 +12,8 @@ binary string
 ``G`` linearizes: each digit ``d`` has a 2x2 transfer matrix over the
 state "did the previous position break", and ``G(x)`` is the top-left
 entry of the product in string order.  For binary strings the matrix
-``mu(x)`` collects the values of ``G`` on ``x`` and its two derived
-strings:
+``mu(x)``, a :class:`Mat2` named tuple of its four entries, collects the
+values of ``G`` on ``x`` and its two derived strings:
 
 * ``double_prime(x)`` ("x''"): drop trailing zeros, decrement the last
   digit -- the version of ``x`` that has donated one broken unit to a
@@ -34,7 +34,7 @@ such strings have ``G = 0``.  The annihilator :data:`BOTTOM` stands for
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "BOTTOM",
@@ -73,7 +73,7 @@ _DIGITS = frozenset("0123")
 
 
 def _check_digits(x: str) -> None:
-    if not _DIGITS.issuperset(x):
+    if x.strip("0123"):
         bad = sorted(set(x) - _DIGITS)
         raise ValueError(f"digit string may only contain 0-3, got {bad} in {x!r}")
 
@@ -83,18 +83,19 @@ def _check_binary(x: str) -> None:
         raise ValueError(f"string must be binary (digits 0/1 only), got {x!r}")
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(NamedTuple):
     """2x2 matrix of non-negative integers, row-major ``[[g, g_dp], [g_p, g_p_dp]]``.
 
-    For a binary string ``x`` the entries of ``mu_of(x)`` are
-    ``G(x), G(x''), G(x'), G((x')'')`` in that order.
+    A named tuple of its four entries; for a binary string ``x`` those of
+    ``mu_of(x)`` are ``G(x), G(x''), G(x'), G((x')'')`` in that order.
+    ``*`` is the matrix product; tuple ``+``, repetition and order raise ``TypeError``.
     """
 
     g: int
     g_dp: int
     g_p: int
     g_p_dp: int
+    __add__ = __radd__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = None  # type: ignore
 
     def __mul__(self, other: "Mat2") -> "Mat2":
         return Mat2(
@@ -229,7 +230,7 @@ class Comparator(enum.Enum):
     def entries(self, m: Mat2) -> tuple[int, ...]:
         """The entries of ``m`` this relation compares, in the order listed above."""
         if self is Comparator.INFIX:
-            return (m.g, m.g_dp, m.g_p, m.g_p_dp)
+            return tuple(m)
         if self is Comparator.SUFFIX:
             return (m.g, m.g_p)
         return (m.g, m.g_dp)

@@ -467,10 +467,13 @@ def test_scalar_commands_do_not_import_numpy():
         "import sys, sternseq.cli\n"
         "assert 'numpy' not in sys.modules, 'imported by sternseq.cli'\n"
         "assert 'decimal' not in sys.modules, 'decimal imported by sternseq.cli'\n"
+        "assert 'dataclasses' not in sys.modules, 'dataclasses imported by sternseq.cli'\n"
         "sternseq.cli.main(['value', '11'])\n"
         "assert 'decimal' not in sys.modules, 'decimal imported by value'\n"
+        "assert 'dataclasses' not in sys.modules, 'dataclasses imported by value'\n"
         "sternseq.cli.main(['records', '--bits', '40', '--source', 'closed-form'])\n"
         "assert 'numpy' not in sys.modules, 'imported by a scalar command'\n"
+        "assert 'dataclasses' not in sys.modules, 'dataclasses imported by records'\n"
     )
     result = _run_child(script)
     assert result.returncode == 0, result.stderr

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from sternseq import (
+    AuditReport,
     BudgetExceededError,
     audit_substring_properties,
     fib,
@@ -217,6 +218,14 @@ class TestSubstringAudit:
         assert report.checked_count == 0
         assert (72, "allowed-exception-1001000") in report.informational
         assert report.violations == []
+
+    def test_default_informational_is_empty_and_immutable(self):
+        # The default is one object that every report shares, so it may not be mutable.
+        first, second = AuditReport([], 0), AuditReport([], 0)
+        assert first.informational == () == second.informational
+        with pytest.raises(AttributeError):
+            first.informational.append((1, "note"))
+        assert first.ok
 
     def test_vacuous_audit(self):
         report = audit_substring_properties(1)

@@ -1,6 +1,6 @@
 """Tests for the digit-string calculus: matrices, transforms, comparators."""
 
-import dataclasses
+import operator
 
 import pytest
 from hypothesis import example, given, settings
@@ -54,6 +54,36 @@ class TestMu:
         assert (m * Mat2(5, 6, 7, 8)).rows == ((19, 22), (43, 50))
 
 
+class TestMat2Contract:
+    """A named tuple of four entries that still refuses the tuple's own operators."""
+
+    @pytest.mark.parametrize(
+        "op", [operator.add, operator.lt, operator.le, operator.gt, operator.ge],
+        ids=["+", "<", "<=", ">", ">="],
+    )
+    def test_refuses_tuple_concatenation_and_order(self, op):
+        with pytest.raises(TypeError):
+            op(Mat2(1, 2, 3, 4), Mat2(1, 0, 0, 1))
+
+    def test_refuses_concatenation_onto_a_tuple(self):
+        with pytest.raises(TypeError):
+            (1, 2) + Mat2(1, 2, 3, 4)
+
+    def test_refuses_repetition_by_an_int(self):
+        with pytest.raises(TypeError):
+            3 * Mat2(1, 2, 3, 4)
+
+    def test_entries_are_read_only(self):
+        m = mu_of("101")
+        with pytest.raises(AttributeError):
+            m.g = 0
+        assert m == Mat2(2, 3, 1, 2)
+
+    def test_equal_entries_hash_equal(self):
+        assert hash(mu_of("100100")) == hash(Mat2(11, 4, 8, 3))
+        assert {mu_of("10"): "x"}[mu_of("1") * mu_of("0")] == "x"
+
+
 class TestGValue:
     @pytest.mark.parametrize(
         "x, expected",
@@ -75,6 +105,15 @@ class TestGValue:
     def test_rejects_foreign_digits(self):
         with pytest.raises(ValueError):
             g_value("104")
+
+    @pytest.mark.parametrize("check", [g_value, prime, double_prime])
+    def test_foreign_digit_message(self, check):
+        # Foreign digits inside the string are found, listed once each and sorted.
+        with pytest.raises(ValueError) as info:
+            check("205a421")
+        assert str(info.value) == (
+            "digit string may only contain 0-3, got ['4', '5', 'a'] in '205a421'"
+        )
 
     @given(binary_strings)
     @settings(max_examples=500)
@@ -235,7 +274,7 @@ class TestComparators:
         witness = DOMINANCE_WITNESSES[at]
         pinned = (*witness.pinned_smaller[:-1], witness.pinned_smaller[-1] + 1)
         corrupted = list(DOMINANCE_WITNESSES)
-        corrupted[at] = dataclasses.replace(witness, pinned_smaller=pinned)
+        corrupted[at] = witness._replace(pinned_smaller=pinned)
         monkeypatch.setattr(records, "DOMINANCE_WITNESSES", tuple(corrupted))
         label = f"pinned-matrix-{witness.smaller}-vs-{witness.excluded}"
         assert verify_dominance_witnesses().violations == [(int(witness.smaller, 2), label)]

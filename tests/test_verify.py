@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from sternseq import verify
 from sternseq.verify import IDENTITY_SAMPLES, IDENTITY_SEED, SUITES, _random_binary
 
 
@@ -63,3 +64,21 @@ def test_identities_suite_count():
     report = SUITES["identities"][0](1, 12)
     assert report.ok and report.violations == []
     assert report.checked_count == 10056 == IDENTITY_SAMPLES + 40 + 16
+
+
+def test_identities_suite_draws_the_pinned_sample(monkeypatch):
+    # The suite's count is the same for any sample, so pin the strings it draws.
+    drawn = []
+
+    def recording(rng, max_len):
+        drawn.append(_random_binary(rng, max_len))
+        return drawn[-1]
+
+    monkeypatch.setattr(verify, "_random_binary", recording)
+    assert verify._identities().ok
+    assert len(drawn) == 30_000 == 3 * IDENTITY_SAMPLES
+    assert drawn[:9] == [
+        "110101", "11111110010101", "10100111001",
+        "00011100110", "0011011", "1100000111110001",
+        "011", "10111011011010", "011111101110010011",
+    ]
