@@ -35,7 +35,6 @@ __all__ = [
     "DOMINANCE_WITNESSES",
     "DominanceWitness",
     "audit_substring_properties",
-    "check_scan_budget",
     "records_scan",
     "shifted_listing",
     "verify_dominance_witnesses",
@@ -67,11 +66,6 @@ def _records_scan_cached(k_max: int) -> tuple[tuple[int, int], ...]:
     return tuple(records)
 
 
-def check_scan_budget(k_max: int) -> None:
-    """Raise ``BudgetExceededError`` if a scan below ``2**k_max`` exceeds the ceiling."""
-    check_bits_budget(k_max, f"scan of all indices below 2**{k_max}")
-
-
 def records_scan(k_max: int, convention: Literal["A", "S"] = "A") -> list[tuple[int, int]]:
     """The ``(index, value)`` of every record-setter with index below ``2**k_max``, in index order.
 
@@ -86,7 +80,7 @@ def records_scan(k_max: int, convention: Literal["A", "S"] = "A") -> list[tuple[
         raise ValueError("k_max must be >= 1")
     if convention not in ("A", "S"):
         raise ValueError(f"convention must be 'A' or 'S', got {convention!r}")
-    check_scan_budget(k_max)
+    check_bits_budget(k_max, f"scan of all indices below 2**{k_max}")
     scan = _records_scan_cached(k_max)
     if convention == "A":
         return list(scan)
@@ -157,8 +151,6 @@ def audit_substring_properties(k_max: int) -> AuditReport:
     the only expected finding there is the 7-bit record 1001000, whose
     interior 1000 is a known one-off exception.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
     violations: list[tuple[int, str]] = []
     informational: list[tuple[int, str]] = []
     checked = 0

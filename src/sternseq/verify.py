@@ -1,9 +1,8 @@
 """The verification suites run by ``sternseq verify``.
 
-:data:`SUITES` maps each suite name, in run order, to a pair: a check
-``(lo, hi) -> AuditReport`` over the bit-length range ``lo..hi``, and the
-largest scan that check makes, as ``(lo, hi) -> k``: it visits every index
-below ``2**k``, or none when ``k`` is 0.  The suites:
+:data:`SUITES` maps each suite name, in run order, to its check
+``(lo, hi) -> AuditReport`` over the bit-length range ``lo..hi``.  The
+suites:
 
     tables      the frozen reference tables against the recurrence and the scan
     identities  the transfer-matrix identities on seeded random strings, the
@@ -108,12 +107,9 @@ def _identities() -> AuditReport:
 # Each check looks its function up by name when called, so that a function
 # replaced on this module (by a test or a tracer) is the one that runs.
 SUITES = {
-    "tables": (
-        lambda lo, hi: _tables(lo, hi),
-        lambda lo, hi: max([FIRST_RECORDS_BITS, *range(lo, min(hi, SMALL_BITLENGTH_MAX) + 1)]),
-    ),
-    "identities": (lambda lo, hi: _identities(), lambda lo, hi: 0),
-    "substrings": (lambda lo, hi: audit_substring_properties(hi), lambda lo, hi: hi),
-    "extremal": (lambda lo, hi: verify_extremal_lemmas(max(8, (hi - 2) // 4)), lambda lo, hi: 0),
-    "crossval": (lambda lo, hi: cross_validate(lo, hi), lambda lo, hi: hi),
+    "tables": lambda lo, hi: _tables(lo, hi),
+    "identities": lambda lo, hi: _identities(),
+    "substrings": lambda lo, hi: audit_substring_properties(hi),
+    "extremal": lambda lo, hi: verify_extremal_lemmas(max(8, (hi - 2) // 4)),
+    "crossval": lambda lo, hi: cross_validate(lo, hi),
 }

@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sternseq import cli, count_kbit, fib, stern_a
-from sternseq import closedform, core
+from sternseq import closedform, core, verify
 from sternseq.budget import MAX_BITS_ENV_VAR
 from sternseq.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, FORMATS, main
-from sternseq.records import shifted_listing
+from sternseq.records import records_scan, shifted_listing
 from sternseq.tables import FIRST_RECORDS, SMALL_BITLENGTH_RECORDS
 
 
@@ -622,6 +622,18 @@ class TestVerify:
         assert err.decode().splitlines() == [
             "error: scan of all indices below 2**8 needs indices up to 8 bits, exceeding the "
             f"ceiling of 5 bits (override with {MAX_BITS_ENV_VAR})"
+        ]
+
+    def test_a_later_suites_scan_past_the_ceiling_prints_nothing(self, capsys, monkeypatch):
+        # The ceiling is checked by the scan itself, whichever suite makes it.
+        monkeypatch.delenv(MAX_BITS_ENV_VAR, raising=False)
+        monkeypatch.setattr(verify, "_identities", lambda: records_scan(30))
+        argv = ["verify", "--k-range", "1..4", "--suites", "tables,identities"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_BUDGET, [])
+        assert err.splitlines() == [
+            "error: scan of all indices below 2**30 needs indices up to 30 bits, exceeding the "
+            f"ceiling of 24 bits (override with {MAX_BITS_ENV_VAR})"
         ]
 
     @pytest.mark.parametrize(

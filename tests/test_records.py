@@ -233,6 +233,10 @@ class TestSubstringAudit:
         assert report.checked_count == 0
         assert report.informational == []
 
+    def test_empty_range_is_rejected(self):
+        with pytest.raises(ValueError, match="k_max must be >= 1"):
+            audit_substring_properties(0)
+
     def test_audit_to_sixteen_bits(self):
         report = audit_substring_properties(16)
         assert report.ok

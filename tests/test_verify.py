@@ -61,7 +61,7 @@ def test_suite_stream_has_leading_zeros_and_full_lengths():
 
 
 def test_identities_suite_count():
-    report = SUITES["identities"][0](1, 12)
+    report = SUITES["identities"](1, 12)
     assert report.ok and report.violations == []
     assert report.checked_count == 10056 == IDENTITY_SAMPLES + 40 + 16
 
