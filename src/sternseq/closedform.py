@@ -18,11 +18,13 @@ and five for odd bit lengths ``k = 2n+1``::
 giving ``floor(3k/4) - (-1)^k`` record-setters per bit length; below 12
 bits the record-setters are irregular and ship as frozen data
 (:mod:`sternseq.tables`).  One table, ``_FAMILIES``, holds each family's
-parameter range, its index (a geometric sum over a powers-of-two table,
-exact division by 3), its Stern value (Fibonacci and Lucas products) and
-its bit pattern.  The index and value bodies run unchanged on ``int`` and
-on exact ``decimal.Decimal`` tables, and every public function reads the
-same table.
+parameter range, its index, its Stern value (Fibonacci and Lucas
+products) and its bit pattern.  An index is its pattern read in binary:
+an alternating number ``T[i] = 2**i // 3`` (``1010...``) less at most
+two others, give or take a constant below 4, with no division.  The
+index and value bodies run unchanged on ``int`` and on exact
+``decimal.Decimal`` tables, and every public function reads the same
+table.
 
 Within a bit length the families' indices follow each other in the order
 listed above, and each grows with its parameter, so a row is the runs of
@@ -49,23 +51,17 @@ from .tables import SMALL_BITLENGTH_MAX, SMALL_BITLENGTH_RECORDS
 __all__ = ["count_kbit", "cross_validate", "kbit_listing", "kbit_rows", "scan_listing"]
 
 
-def _exact_third(numerator):
-    q, r = divmod(numerator, 3)
-    if r:
-        raise ArithmeticError(f"{numerator} is not divisible by 3")
-    return q
-
-
 class _Family(NamedTuple):
     """One family's formulas over the half-length ``n`` and the parameter ``p``.
 
-    ``index`` reads powers of two ``P[i] = 2**i`` and ``value`` reads
-    Fibonacci numbers ``F`` and Lucas numbers ``L``, all at ``0..2n+2``.
+    ``index`` reads the alternating numbers ``T[i] = 2**i // 3`` (binary
+    ``1010...`` of ``i - 1`` bits) and ``value`` reads Fibonacci numbers
+    ``F`` and Lucas numbers ``L``, all at ``0..2n+2``.
     """
 
     family_id: str
     params: Callable[[int], range | tuple[None]]  # the values of p for n
-    index: Callable  # (n, p, P) -> index
+    index: Callable  # (n, p, T) -> index
     value: Callable  # (n, p, F, L) -> Stern value
     bits: Callable[[int, int | None], str]  # (n, p) -> binary pattern
 
@@ -73,55 +69,55 @@ class _Family(NamedTuple):
 _FAMILIES = {family.family_id: family for family in (
     _Family(
         "E1", lambda n: range(0, n - 2),
-        lambda n, p, P: P[2 * n - 1] + _exact_third(P[2 * n - 2] - P[2 * n - 2 * p - 3] + 1),
+        lambda n, p, T: T[2 * n + 1] - T[2 * n - 2] - T[2 * n - 2 * p - 3],
         lambda n, p, F, L: (
             L[2 * p + 3] * F[2 * n - 2 * p - 3] + L[2 * p + 1] * F[2 * n - 2 * p - 4]
         ),
-        lambda n, p: "100" + "10" * p + "0" + "10" * (n - 3 - p) + "11",
+        lambda n, p: f"100{'10' * p}0{'10' * (n - 3 - p)}11",
     ),
     _Family(
         "E2", lambda n: range(1, n // 2 + 1),
-        lambda n, p, P: _exact_third(P[2 * n + 1] - P[2 * n - 2 * p] - 1),
+        lambda n, p, T: T[2 * n + 1] - T[2 * n - 2 * p],
         lambda n, p, F, L: F[2 * p + 2] * F[2 * n - 2 * p] + F[2 * p] * F[2 * n - 2 * p - 1],
-        lambda n, p: "10" * p + "0" + "10" * (n - p - 1) + "1",
+        lambda n, p: f"{'10' * p}0{'10' * (n - p - 1)}1",
     ),
     _Family(
         "E3", lambda n: (None,),
-        lambda n, p, P: _exact_third(P[2 * n + 1] + 1),
+        lambda n, p, T: T[2 * n + 1] + 1,
         lambda n, p, F, L: F[2 * n + 1],
         lambda n, p: "10" * (n - 1) + "11",
     ),
     _Family(
         "O1", lambda n: (None,),
-        lambda n, p, P: P[2 * n] + _exact_third(P[2 * n - 2] - 1),
+        lambda n, p, T: T[2 * n + 2] - T[2 * n - 1] - T[2 * n - 2] - 1,
         lambda n, p, F, L: F[2 * n + 1] + F[2 * n - 4],
         lambda n, p: "1000" + "10" * (n - 2) + "1",
     ),
     _Family(
         "O2", lambda n: (None,),
-        lambda n, p, P: P[2 * n] + P[2 * n - 3] + _exact_third(P[2 * n - 4] - 7),
+        lambda n, p, T: T[2 * n + 2] - T[2 * n - 1] - T[2 * n - 4] - 3,
         lambda n, p, F, L: F[2 * n + 1] + 8 * F[2 * n - 8],
         lambda n, p: "100100" + "10" * (n - 4) + "011",
     ),
     _Family(
         "O3", lambda n: range(1, (n + 1) // 2),
-        lambda n, p, P: P[2 * n] + _exact_third(P[2 * n - 1] - P[2 * n - 2 * p - 2] - 1),
+        lambda n, p, T: T[2 * n + 2] - T[2 * n - 1] - T[2 * n - 2 * p - 2] - 1,
         lambda n, p, F, L: (
             L[2 * p + 3] * F[2 * n - 2 * p - 2] + L[2 * p + 1] * F[2 * n - 2 * p - 3]
         ),
-        lambda n, p: "100" + "10" * p + "0" + "10" * (n - 2 - p) + "1",
+        lambda n, p: f"100{'10' * p}0{'10' * (n - 2 - p)}1",
     ),
     _Family(
         "O4", lambda n: range(0, n - 1),
-        lambda n, p, P: _exact_third(P[2 * n + 2] - P[2 * n - 2 * p - 1] + 1),
+        lambda n, p, T: T[2 * n + 2] - T[2 * n - 2 * p - 1],
         lambda n, p, F, L: (
             F[2 * p + 4] * F[2 * n - 2 * p - 1] + F[2 * p + 2] * F[2 * n - 2 * p - 2]
         ),
-        lambda n, p: "10" * (p + 1) + "0" + "10" * (n - 2 - p) + "11",
+        lambda n, p: f"{'10' * (p + 1)}0{'10' * (n - 2 - p)}11",
     ),
     _Family(
         "O5", lambda n: (None,),
-        lambda n, p, P: _exact_third(P[2 * n + 2] - 1),
+        lambda n, p, T: T[2 * n + 2],
         lambda n, p, F, L: F[2 * n + 2],
         lambda n, p: "10" * n + "1",
     ),
@@ -156,21 +152,23 @@ def count_kbit(k: int) -> int:
 
 
 def _tables(k_max: int, one):
-    """Tables ``P[i] = 2**i`` and ``F[i] = F(i)`` for ``i <= 2 * (k_max // 2) + 2``.
+    """Tables ``T[i] = 2**i // 3`` and ``F[i] = F(i)`` for ``i <= 2 * (k_max // 2) + 2``.
 
+    ``T[2j + 1]`` is ``(10)^j`` and ``T[2j + 2]`` is ``(10)^j 1`` read in
+    binary, so ``T[i + 1] = 2 T[i] + i % 2``; ``2**i == T[i] + T[i + 1] + 1``.
     Entries have the type of ``one``.  Lucas numbers are read from ``F``,
     ``L[i] = F[i-1] + F[i+1]``, and not stored.
     """
     m = 2 * (k_max // 2) + 2
-    P, F = [one], [0 * one, one]
-    for _ in range(m):
-        P.append(P[-1] + P[-1])
+    T, F = [0 * one], [0 * one, one]
+    for i in range(m):
+        T.append(T[-1] + T[-1] + i % 2)
     for _ in range(m - 1):
         F.append(F[-1] + F[-2])
-    return P, F, _Lucas(F)
+    return T, F, _Lucas(F)
 
 
-def _rows(k: int, one, P, F, L):
+def _rows(k: int, one, T, F, L):
     """The rows of :func:`kbit_rows`, read from tables that cover bit length ``k``."""
     if k < 1:
         raise ValueError("bit length must be >= 1")
@@ -183,11 +181,11 @@ def _rows(k: int, one, P, F, L):
     count = sum(len(params) for _, params in runs)
     if count != count_kbit(k):
         raise RuntimeError(f"family instantiation for k={k} gives {count} rows")
-    previous, top = P[k - 1] - 1, P[k]
+    previous, top = T[k - 1] + T[k], T[k] + T[k + 1] + 1  # 2**(k-1) - 1, 2**k
     for family, params in runs:
         index_of, value_of = family.index, family.value
         for p in params:
-            index = index_of(n, p, P)
+            index = index_of(n, p, T)
             if not previous < index < top:
                 raise RuntimeError(
                     f"family instantiation for k={k} is out of order or outside k bits"
@@ -236,7 +234,7 @@ def kbit_rows(k: int):
     and the rows are made family by family, over each family's parameter
     range, as they are yielded.  The row count is checked against
     :func:`count_kbit`, and each index must exceed the last and lie in
-    ``[P[k-1], P[k])``; either failure raises ``RuntimeError``.
+    ``[2**(k-1), 2**k)``; either failure raises ``RuntimeError``.
     """
     yield from _rows(k, 1, *_tables(k, 1))
 

@@ -70,14 +70,21 @@ class TestFibLucas:
         m = 2 * (k_max // 2) + 2
         for one in (1, Decimal(1)):
             with decimal.localcontext(_EXACT):
-                P, F, L = closedform._tables(k_max, one)
-                assert P == [2**i for i in range(m + 1)]
+                T, F, L = closedform._tables(k_max, one)
+                assert T == [2**i // 3 for i in range(m + 1)]
+                # The alternating numbers: (10)^j and (10)^j 1 read in binary.
+                assert [T[2 * j + 1] for j in range(1, m // 2)] == [
+                    int("10" * j, 2) for j in range(1, m // 2)
+                ]
+                assert [T[2 * j + 2] for j in range(m // 2)] == [
+                    int("10" * j + "1", 2) for j in range(m // 2)
+                ]
                 assert F == [fib(i) for i in range(m + 1)]
                 assert [L[i] for i in range(1, m)] == [lucas(i) for i in range(1, m)]
                 for i in (0, -1, m):  # outside the table, without wrapping
                     with pytest.raises(IndexError):
                         L[i]
-            assert {type(x) for x in P + F} == {type(one)}
+            assert {type(x) for x in T + F} == {type(one)}
 
 
 def _runs(k):
@@ -137,11 +144,18 @@ class TestClosedForms:
         assert stern_a(2219) == 157
         assert stern_a(5461) == 377
 
-    @pytest.mark.parametrize("k", range(12, 301))
+    @pytest.mark.parametrize("k", [*range(12, 301), 599, 600, 601, 6000, 6001])
     def test_index_formula_matches_rendering(self, k):
         # Each row's family bit pattern is its index formula's value in binary.
         for index, _, family, p in kbit_rows(k):
             assert family.bits(k // 2, p) == format(index, "b")
+
+    @pytest.mark.parametrize("k", [*range(12, 121), 599, 600, 601, 6000, 6001])
+    def test_decimal_index_formula_matches_rendering(self, k):
+        # The same in the listing's exact decimal, the number type `records` writes.
+        (_, rows), = kbit_listing([k])
+        for index, _, family, p in rows:
+            assert index == int(family.bits(k // 2, p), 2)
 
     @pytest.mark.parametrize("k", range(12, 41))
     def test_stern_value_formula_matches_matrix_calculus(self, k):
@@ -228,7 +242,7 @@ class TestGenerateKbit:
     def test_row_checks_hold_for_both_number_types(self, monkeypatch, rows_of):
         # E3, the last 12-bit row, pushed past 2**12 by a corrupted index body.
         e3 = closedform._FAMILIES["E3"]
-        corrupted = e3._replace(index=lambda n, p, P: e3.index(n, p, P) + P[2 * n])
+        corrupted = e3._replace(index=lambda n, p, T: e3.index(n, p, T) + T[2 * n] + 1)
         monkeypatch.setitem(closedform._FAMILIES, "E3", corrupted)
         rows = rows_of(12)
         assert [i for i, _, _, _ in itertools.islice(rows, 7)][-1] == 2709
@@ -310,7 +324,7 @@ class TestCrossValidation:
     def test_corrupted_index_formula_fails(self, monkeypatch):
         # O5 two above its rendering: still the last 13- and 15-bit row.
         o5 = closedform._FAMILIES["O5"]
-        corrupted = o5._replace(index=lambda n, p, P: o5.index(n, p, P) + 2)
+        corrupted = o5._replace(index=lambda n, p, T: o5.index(n, p, T) + 2)
         monkeypatch.setitem(closedform._FAMILIES, "O5", corrupted)
         report = cross_validate(12, 16)
         assert not report.ok
