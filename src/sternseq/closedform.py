@@ -18,8 +18,9 @@ and five for odd bit lengths ``k = 2n+1``::
 giving ``floor(3k/4) - (-1)^k`` record-setters per bit length; below 12
 bits the record-setters are irregular and ship as frozen data
 (:mod:`sternseq.tables`).  One table, ``_FAMILIES``, holds each family's
-parameter range, its index, its Stern value (Fibonacci and Lucas
-products) and its bit pattern.  An index is its pattern read in binary:
+parameter range, its index, its Stern value (the paper's products of
+Fibonacci and Lucas numbers, read from one Fibonacci table) and its bit
+pattern.  An index is its pattern read in binary:
 an alternating number ``T[i] = 2**i // 3`` (``1010...``) less at most
 two others, give or take a constant below 4, with no division.  The
 index and value bodies run unchanged on ``int`` and on exact
@@ -55,14 +56,15 @@ class _Family(NamedTuple):
     """One family's formulas over the half-length ``n`` and the parameter ``p``.
 
     ``index`` reads the alternating numbers ``T[i] = 2**i // 3`` (binary
-    ``1010...`` of ``i - 1`` bits) and ``value`` reads Fibonacci numbers
-    ``F`` and Lucas numbers ``L``, all at ``0..2n+2``.
+    ``1010...`` of ``i - 1`` bits) and ``value`` the Fibonacci numbers
+    ``F[i] = F(i)``, all at ``0..2n+2``.  The Lucas numbers of E1 and O3
+    are written out from ``F``, ``L(i) = F(i-1) + F(i+1)``.
     """
 
     family_id: str
     params: Callable[[int], range | tuple[None]]  # the values of p for n
     index: Callable  # (n, p, T) -> index
-    value: Callable  # (n, p, F, L) -> Stern value
+    value: Callable  # (n, p, F) -> Stern value
     bits: Callable[[int, int | None], str]  # (n, p) -> binary pattern
 
 
@@ -70,47 +72,49 @@ _FAMILIES = {family.family_id: family for family in (
     _Family(
         "E1", lambda n: range(0, n - 2),
         lambda n, p, T: T[2 * n + 1] - T[2 * n - 2] - T[2 * n - 2 * p - 3],
-        lambda n, p, F, L: (
-            L[2 * p + 3] * F[2 * n - 2 * p - 3] + L[2 * p + 1] * F[2 * n - 2 * p - 4]
+        lambda n, p, F: (
+            (F[2 * p + 2] + F[2 * p + 4]) * F[2 * n - 2 * p - 3]
+            + (F[2 * p] + F[2 * p + 2]) * F[2 * n - 2 * p - 4]
         ),
         lambda n, p: f"100{'10' * p}0{'10' * (n - 3 - p)}11",
     ),
     _Family(
         "E2", lambda n: range(1, n // 2 + 1),
         lambda n, p, T: T[2 * n + 1] - T[2 * n - 2 * p],
-        lambda n, p, F, L: F[2 * p + 2] * F[2 * n - 2 * p] + F[2 * p] * F[2 * n - 2 * p - 1],
+        lambda n, p, F: F[2 * p + 2] * F[2 * n - 2 * p] + F[2 * p] * F[2 * n - 2 * p - 1],
         lambda n, p: f"{'10' * p}0{'10' * (n - p - 1)}1",
     ),
     _Family(
         "E3", lambda n: (None,),
         lambda n, p, T: T[2 * n + 1] + 1,
-        lambda n, p, F, L: F[2 * n + 1],
+        lambda n, p, F: F[2 * n + 1],
         lambda n, p: "10" * (n - 1) + "11",
     ),
     _Family(
         "O1", lambda n: (None,),
         lambda n, p, T: T[2 * n + 2] - T[2 * n - 1] - T[2 * n - 2] - 1,
-        lambda n, p, F, L: F[2 * n + 1] + F[2 * n - 4],
+        lambda n, p, F: F[2 * n + 1] + F[2 * n - 4],
         lambda n, p: "1000" + "10" * (n - 2) + "1",
     ),
     _Family(
         "O2", lambda n: (None,),
         lambda n, p, T: T[2 * n + 2] - T[2 * n - 1] - T[2 * n - 4] - 3,
-        lambda n, p, F, L: F[2 * n + 1] + 8 * F[2 * n - 8],
+        lambda n, p, F: F[2 * n + 1] + 8 * F[2 * n - 8],
         lambda n, p: "100100" + "10" * (n - 4) + "011",
     ),
     _Family(
         "O3", lambda n: range(1, (n + 1) // 2),
         lambda n, p, T: T[2 * n + 2] - T[2 * n - 1] - T[2 * n - 2 * p - 2] - 1,
-        lambda n, p, F, L: (
-            L[2 * p + 3] * F[2 * n - 2 * p - 2] + L[2 * p + 1] * F[2 * n - 2 * p - 3]
+        lambda n, p, F: (
+            (F[2 * p + 2] + F[2 * p + 4]) * F[2 * n - 2 * p - 2]
+            + (F[2 * p] + F[2 * p + 2]) * F[2 * n - 2 * p - 3]
         ),
         lambda n, p: f"100{'10' * p}0{'10' * (n - 2 - p)}1",
     ),
     _Family(
         "O4", lambda n: range(0, n - 1),
         lambda n, p, T: T[2 * n + 2] - T[2 * n - 2 * p - 1],
-        lambda n, p, F, L: (
+        lambda n, p, F: (
             F[2 * p + 4] * F[2 * n - 2 * p - 1] + F[2 * p + 2] * F[2 * n - 2 * p - 2]
         ),
         lambda n, p: f"{'10' * (p + 1)}0{'10' * (n - 2 - p)}11",
@@ -118,23 +122,10 @@ _FAMILIES = {family.family_id: family for family in (
     _Family(
         "O5", lambda n: (None,),
         lambda n, p, T: T[2 * n + 2],
-        lambda n, p, F, L: F[2 * n + 2],
+        lambda n, p, F: F[2 * n + 2],
         lambda n, p: "10" * n + "1",
     ),
 )}
-
-
-class _Lucas:
-    """Lucas numbers read from a Fibonacci table, ``L[i] == F[i - 1] + F[i + 1]``, not stored."""
-
-    def __init__(self, F):
-        self.F = F
-
-    def __getitem__(self, i: int):
-        if i < 1:  # F[i - 1] would wrap to the end of the table
-            raise IndexError(f"Lucas index {i} is below the table")
-        F = self.F
-        return F[i - 1] + F[i + 1]
 
 
 def _families(k: int) -> list[_Family]:
@@ -156,8 +147,7 @@ def _tables(k_max: int, one):
 
     ``T[2j + 1]`` is ``(10)^j`` and ``T[2j + 2]`` is ``(10)^j 1`` read in
     binary, so ``T[i + 1] = 2 T[i] + i % 2``; ``2**i == T[i] + T[i + 1] + 1``.
-    Entries have the type of ``one``.  Lucas numbers are read from ``F``,
-    ``L[i] = F[i-1] + F[i+1]``, and not stored.
+    Entries have the type of ``one``.
     """
     m = 2 * (k_max // 2) + 2
     T, F = [0 * one], [0 * one, one]
@@ -165,21 +155,19 @@ def _tables(k_max: int, one):
         T.append(T[-1] + T[-1] + i % 2)
     for _ in range(m - 1):
         F.append(F[-1] + F[-2])
-    return T, F, _Lucas(F)
+    return T, F
 
 
-def _rows(k: int, one, T, F, L):
-    """The rows of :func:`kbit_rows`, read from tables that cover bit length ``k``."""
-    if k < 1:
-        raise ValueError("bit length must be >= 1")
+def _rows(k: int, T, F):
+    """The rows of :func:`kbit_rows` in the type of ``F[1]``, from tables that cover ``k`` bits."""
+    expected = count_kbit(k)
     if k <= SMALL_BITLENGTH_MAX:
         for index in sorted(int(bits, 2) for bits in SMALL_BITLENGTH_RECORDS[k]):
-            yield one * index, one * stern_a(index), None, None
+            yield F[1] * index, F[1] * stern_a(index), None, None
         return
     n = k // 2
     runs = [(family, family.params(n)) for family in _families(k)]
-    count = sum(len(params) for _, params in runs)
-    if count != count_kbit(k):
+    if (count := sum(len(params) for _, params in runs)) != expected:
         raise RuntimeError(f"family instantiation for k={k} gives {count} rows")
     previous, top = T[k - 1] + T[k], T[k] + T[k + 1] + 1  # 2**(k-1) - 1, 2**k
     for family, params in runs:
@@ -191,7 +179,7 @@ def _rows(k: int, one, T, F, L):
                     f"family instantiation for k={k} is out of order or outside k bits"
                 )
             previous = index
-            yield index, value_of(n, p, F, L), family, p
+            yield index, value_of(n, p, F), family, p
 
 
 def kbit_listing(k_values):
@@ -211,13 +199,12 @@ def kbit_listing(k_values):
 
     traps = [decimal.Inexact, decimal.Rounded, decimal.InvalidOperation]
     exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=traps)
-    one = decimal.Decimal(1)
     with decimal.localcontext(exact):
-        tables = _tables(max(k_values, default=1), one)
+        tables = _tables(max(k_values, default=1), decimal.Decimal(1))
 
     def rows(k):
         with decimal.localcontext(exact):
-            yield from _rows(k, one, *tables)
+            yield from _rows(k, *tables)
 
     for k in k_values:
         if k:  # a(0) has none
@@ -236,20 +223,20 @@ def kbit_rows(k: int):
     :func:`count_kbit`, and each index must exceed the last and lie in
     ``[2**(k-1), 2**k)``; either failure raises ``RuntimeError``.
     """
-    yield from _rows(k, 1, *_tables(k, 1))
+    yield from _rows(k, *_tables(k, 1))
 
 
 def scan_listing(k_values: range):
     """The scan as ``(k, rows)`` for each ``k`` in ``k_values``, as :func:`kbit_listing` lists.
 
-    The one :func:`~sternseq.records.records_scan` runs on the call, with
-    its ceiling check, and none runs for an empty range.  ``rows`` lists
+    The one :func:`~sternseq.records.records_scan` runs on the call, of at
+    least 1 bit, with its ceiling check, and none runs for an empty range.  ``rows`` lists
     the ``(index, value, family, parameter)`` of the "A" record-setters of
     ``k`` bits, maybe none; a row has the family and parameter of the
     :func:`kbit_rows` row with its index, or ``None``, as below 12 bits.
     """
     found = {k: [] for k in k_values}
-    for index, value in records_scan(k_values[-1], "A") if k_values else ():
+    for index, value in records_scan(max(k_values[-1], 1), "A") if k_values else ():
         if index.bit_length() in found:
             found[index.bit_length()].append((index, value))
 

@@ -5,7 +5,7 @@ import itertools
 from decimal import Decimal
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sternseq import count_kbit, cross_validate, fib, g_value, lucas, stern_a
@@ -70,7 +70,7 @@ class TestFibLucas:
         m = 2 * (k_max // 2) + 2
         for one in (1, Decimal(1)):
             with decimal.localcontext(_EXACT):
-                T, F, L = closedform._tables(k_max, one)
+                T, F = closedform._tables(k_max, one)
                 assert T == [2**i // 3 for i in range(m + 1)]
                 # The alternating numbers: (10)^j and (10)^j 1 read in binary.
                 assert [T[2 * j + 1] for j in range(1, m // 2)] == [
@@ -80,10 +80,6 @@ class TestFibLucas:
                     int("10" * j + "1", 2) for j in range(m // 2)
                 ]
                 assert F == [fib(i) for i in range(m + 1)]
-                assert [L[i] for i in range(1, m)] == [lucas(i) for i in range(1, m)]
-                for i in (0, -1, m):  # outside the table, without wrapping
-                    with pytest.raises(IndexError):
-                        L[i]
             assert {type(x) for x in T + F} == {type(one)}
 
 
@@ -259,6 +255,16 @@ class TestGenerateKbit:
             with pytest.raises(RuntimeError, match="out of order or outside k bits"):
                 list(rows)
 
+    def test_row_count_check(self, monkeypatch):
+        # E2 one parameter wider: 9 rows of 12 bits where count_kbit(12) is 8.
+        e2 = closedform._FAMILIES["E2"]
+        widened = e2._replace(params=lambda n: range(1, n // 2 + 2))
+        monkeypatch.setitem(closedform._FAMILIES, "E2", widened)
+        with pytest.raises(RuntimeError, match="gives 9 rows"):
+            next(kbit_rows(12))
+        with pytest.raises(RuntimeError, match="gives 9 rows"):
+            next(next(kbit_listing([12]))[1])
+
     @pytest.mark.parametrize("k, expected", [(12, 8), (13, 10), (7, 5), (1, 1), (11, 8)])
     def test_count_kbit(self, k, expected):
         assert count_kbit(k) == expected
@@ -269,12 +275,13 @@ class TestGenerateKbit:
 
 class TestScanListing:
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 14), st.integers(1, 14))
+    @given(st.integers(0, 14), st.integers(0, 14))
+    @example(0, 0)  # index 0 alone: (0, [(0, 0, None, None)])
     def test_scan_rows_with_closed_form_families(self, lo, hi):
         assume(lo <= hi)
         listing = [(k, list(rows)) for k, rows in scan_listing(range(lo, hi + 1))]
         assert [k for k, _ in listing] == list(range(lo, hi + 1))
-        scan = records_scan(hi)
+        scan = records_scan(max(hi, 1))
         for k, rows in listing:
             assert [(i, v) for i, v, _, _ in rows] == [(i, v) for i, v in scan if i.bit_length() == k]
             families = {i: (f, p) for i, _, f, p in kbit_rows(k)} if k else {}
