@@ -10,7 +10,8 @@ Subcommands::
 
 Exit codes: 0 success (also when the reader stops early, as ``head`` does),
 1 verification failure, 2 usage or write error, 3 scan ceiling exceeded: the
-indices to scan go beyond the ceiling on index bits (``STERNSEQ_MAX_BITS``).
+indices to scan go beyond the ceiling on index bits (``STERNSEQ_MAX_BITS``),
+130 interrupted (``SIGINT``, Ctrl-C).
 
 :func:`main` starts numpy's OpenBLAS with one thread unless
 ``OPENBLAS_NUM_THREADS`` is set: sternseq calls no BLAS routine, so a
@@ -43,6 +44,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERRUPTED = 130
 
 FORMATS = ("plain", "csv", "jsonlines", "bfile")
 
@@ -352,6 +354,9 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET if isinstance(exc, BudgetExceededError) else EXIT_USAGE
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -230,11 +230,14 @@ def scan_listing(k_values: range):
     """The scan as ``(k, rows)`` for each ``k`` in ``k_values``, as :func:`kbit_listing` lists.
 
     The one :func:`~sternseq.records.records_scan` runs on the call, of at
-    least 1 bit, with its ceiling check, and none runs for an empty range.  ``rows`` lists
-    the ``(index, value, family, parameter)`` of the "A" record-setters of
+    least 1 bit, with its ceiling check; none runs for an empty range, and a
+    negative ``k`` raises ``ValueError`` first.  ``rows`` lists the
+    ``(index, value, family, parameter)`` of the "A" record-setters of
     ``k`` bits, maybe none; a row has the family and parameter of the
     :func:`kbit_rows` row with its index, or ``None``, as below 12 bits.
     """
+    if k_values and k_values[0] < 0:
+        raise ValueError(f"bit length must be >= 0, got {k_values[0]}")
     found = {k: [] for k in k_values}
     for index, value in records_scan(max(k_values[-1], 1), "A") if k_values else ():
         if index.bit_length() in found:

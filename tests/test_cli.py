@@ -8,6 +8,7 @@ import io
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
 from decimal import Decimal
@@ -22,7 +23,7 @@ from hypothesis.extra.numpy import arrays
 from sternseq import cli, count_kbit, fib, stern_a
 from sternseq import closedform, core, verify
 from sternseq.budget import MAX_BITS_ENV_VAR
-from sternseq.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, FORMATS, main
+from sternseq.cli import EXIT_BUDGET, EXIT_INTERRUPTED, EXIT_OK, EXIT_USAGE, FORMATS, main
 from sternseq.records import records_scan, shifted_listing
 from sternseq.tables import FIRST_RECORDS, SMALL_BITLENGTH_RECORDS
 
@@ -838,6 +839,19 @@ class TestOutputErrors:
         proc = _spawn(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         assert proc.stdout.read(10) == str(next(closedform.kbit_rows(2000))[0])[:10].encode()
         assert _quiet_after_close(proc) == (EXIT_OK, b"")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["plot", "--max", "1000000"], ["records", "--bits", "2000", "--source", "closed-form"]],
+        ids=["plot", "closed-form-records"],
+    )
+    def test_interrupt_is_one_line(self, argv):  # Ctrl-C
+        proc = _spawn(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.read(1)  # running, and soon blocked on the full pipe
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == EXIT_INTERRUPTED
+        assert err.decode().splitlines() == ["error: interrupted"]
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
     @pytest.mark.parametrize(

@@ -308,6 +308,14 @@ class TestScanListing:
         scan_listing(range(1, 12))
         assert records_module._records_scan_cached.cache_info().misses == 1
 
+    def test_negative_bit_lengths_are_rejected_by_both_sources(self):
+        records_module._records_scan_cached.cache_clear()
+        with pytest.raises(ValueError, match="bit length must be >= 0, got -2"):
+            scan_listing(range(-2, 3))  # on the call, before the scan
+        assert records_module._records_scan_cached.cache_info().misses == 0
+        with pytest.raises(ValueError, match="bit length must be >= 1"):
+            [list(rows) for _, rows in kbit_listing(range(-2, 3))]
+
 
 class TestCrossValidation:
     @pytest.mark.parametrize("k", range(1, 25))

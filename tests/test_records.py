@@ -1,6 +1,7 @@
 """Tests for the brute-force record scan and the exhaustive audits."""
 
 import itertools
+import re
 
 import pytest
 
@@ -16,7 +17,7 @@ from sternseq import (
 )
 from sternseq.budget import MAX_BITS_ENV_VAR
 from sternseq.closedform import kbit_listing, scan_listing
-from sternseq.records import shifted_listing
+from sternseq.records import _block_strings, shifted_listing
 from sternseq.tables import FIRST_RECORDS, SMALL_BITLENGTH_RECORDS
 
 
@@ -286,6 +287,46 @@ class TestExtremalLemmas:
     def test_fibonacci_product_monotonicity_small(self):
         n = 3
         assert [fib(2 * i + 1) * fib(2 * n - 2 * i) for i in range(n)] == [8, 6, 5]
+
+    @pytest.mark.parametrize("length", range(1, 25))
+    def test_block_strings_are_every_match_in_index_order(self, length):
+        # Every binary string up to 16 digits; past that, every concatenation of blocks.
+        if length <= 16:
+            candidates = (format(i, f"0{length}b") for i in range(2**length))
+        else:
+            candidates = (
+                "".join(blocks)
+                for n in range(length // 3, length // 2 + 1)
+                for blocks in itertools.product(["10", "100"], repeat=n)
+            )
+        matches = [x for x in candidates if len(x) == length and re.fullmatch("(10|100)+", x)]
+        for hundreds in (1, 2, 3):
+            strings = list(_block_strings(length, hundreds))
+            assert set(strings) == {x for x in matches if x.count("100") == hundreds}
+            assert all(int(x, 2) < int(y, 2) for x, y in zip(strings, strings[1:]))
+
+    @pytest.mark.parametrize(
+        "name, perturbed, expected",
+        [
+            ("g_value", lambda x: g_value(x) + (x == "10100100"), [(164, "two-100-max-length-8")]),
+            (
+                "g_value",
+                lambda x: g_value(x) + 1000 * (len(x) == 13 and x.count("100") == 3),
+                [(13, "three-vs-one-100-length-13")],
+            ),
+            (
+                "fib",
+                lambda i: fib(i) + (i == 9),
+                [(298, "single-100-min-n-4"), (6, "odd-fib-products-not-decreasing-n-6")],
+            ),
+        ],
+        ids=["two-100-max", "three-vs-one-100", "single-100-min-and-fib-products"],
+    )
+    def test_each_lemma_can_fail(self, monkeypatch, name, perturbed, expected):
+        monkeypatch.setattr(f"sternseq.records.{name}", perturbed)
+        report = verify_extremal_lemmas(8)
+        assert not report.ok and report.checked_count == 846
+        assert set(expected) <= set(report.violations)
 
     def test_validation(self):
         with pytest.raises(ValueError):
