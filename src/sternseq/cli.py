@@ -215,6 +215,13 @@ def _decimal_lines(columns, sep: str) -> bytes:
     return text.T.tobytes().replace(b"\0", b"")
 
 
+#: Rows of a window that ``plot`` formats in one call.  A block's text
+#: buffers (about 300 KB) stay in the heap and are reused by the next
+#: block; those of a whole window (about 3.5 MB) are handed back to the
+#: OS when freed and faulted in again by the next window.
+_PLOT_BLOCK = 1 << 14
+
+
 def cmd_plot(args) -> int:
     import numpy as np
 
@@ -227,7 +234,9 @@ def cmd_plot(args) -> int:
         write = out.buffer.write if hasattr(out, "buffer") else lambda b: out.write(b.decode())
         for lo, values, running in running_windows(0, args.max + 1):
             indices = np.arange(lo, lo + len(values), dtype=np.int64)
-            write(_decimal_lines((indices, values, running), sep))
+            for at in range(0, len(values), _PLOT_BLOCK):
+                block = slice(at, at + _PLOT_BLOCK)
+                write(_decimal_lines((indices[block], values[block], running[block]), sep))
     return EXIT_OK
 
 

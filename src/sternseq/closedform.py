@@ -183,20 +183,23 @@ def _rows(k: int, T, F):
 
 
 def kbit_listing(k_values):
-    """Yield ``(k, rows)`` for each nonzero ``k`` of the sequence ``k_values``, in decimal.
+    """The ``(k, rows)`` of each nonzero ``k`` of the sequence ``k_values``, in decimal.
 
     ``rows`` are those of :func:`kbit_rows`, with ``decimal.Decimal`` numbers
     in an exact context (unbounded precision; ``Inexact``, ``Rounded`` and
-    ``InvalidOperation`` trapped), whose tables are built once, at the first
-    row, for the largest ``k``.  Each ``rows`` makes its own copy of the
+    ``InvalidOperation`` trapped), whose tables are built once, on the call,
+    for the largest ``k``.  Each ``rows`` makes its own copy of the
     context current from its first row to its last, so its rows stay exact
     whatever context the reader set, also after the listing is closed; but
     two ``rows`` read interleaved leave the reader in a copy of that context.
     Rows are made as they are read, family run by family run, the shape
-    :func:`sternseq.cli.format_records` writes.
+    :func:`sternseq.cli.format_records` writes.  A negative ``k`` raises
+    ``ValueError`` on the call.
     """
     import decimal
 
+    if min(k_values, default=0) < 0:
+        raise ValueError(f"bit length must be >= 0, got {min(k_values)}")
     traps = [decimal.Inexact, decimal.Rounded, decimal.InvalidOperation]
     exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=traps)
     with decimal.localcontext(exact):
@@ -206,9 +209,7 @@ def kbit_listing(k_values):
         with decimal.localcontext(exact):
             yield from _rows(k, *tables)
 
-    for k in k_values:
-        if k:  # a(0) has none
-            yield k, rows(k)
+    return ((k, rows(k)) for k in k_values if k)  # a(0) has none
 
 
 def kbit_rows(k: int):

@@ -312,17 +312,32 @@ class TestPlot:
         assert all(int(line.split(",")[2]) < 123 for line in out[:1195])
 
 
+    @pytest.mark.parametrize("block", [cli._PLOT_BLOCK, 3], ids=["whole-window", "blocks-of-3"])
     @pytest.mark.parametrize("fmt, sep", [("csv", ","), ("plain", " ")])
-    def test_windows_match_per_row_reference(self, capsys, monkeypatch, fmt, sep):
+    def test_windows_match_per_row_reference(self, capsys, monkeypatch, fmt, sep, block):
         # 1201 rows in windows of 7: the maximum is carried across 171
-        # window boundaries, and the last window holds only 4 rows.
+        # window boundaries, and the last window holds only 4 rows.  In
+        # blocks of 3 a window is formatted as 3 + 3 + 1 rows.
         monkeypatch.setattr(core, "_WINDOW", 7)
+        monkeypatch.setattr(cli, "_PLOT_BLOCK", block)
         assert main(["plot", "--max", "1200", "--format", fmt]) == EXIT_OK
         expected, top = [], 0
         for n in range(1201):
             top = max(top, stern_a(n))
             expected.append(f"{n}{sep}{stern_a(n)}{sep}{top}\n")
         assert capsys.readouterr().out == "".join(expected)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    def test_peak_memory_hardly_grows_with_max(self):
+        # 32 windows of text add less than 4 MiB to the peak of a one-row plot.
+        def peak_kib(n_max):
+            proc = _spawn(["plot", "--max", str(n_max)], stdout=subprocess.DEVNULL)
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            assert proc.returncode == EXIT_OK
+            return usage.ru_maxrss
+
+        assert peak_kib(2097151) - peak_kib(0) < 4 * 1024
 
     def test_window_across_a_power_of_ten(self, capsys):
         # With the default window, [65536, 131072) holds the indices on

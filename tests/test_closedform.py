@@ -313,8 +313,8 @@ class TestScanListing:
         with pytest.raises(ValueError, match="bit length must be >= 0, got -2"):
             scan_listing(range(-2, 3))  # on the call, before the scan
         assert records_module._records_scan_cached.cache_info().misses == 0
-        with pytest.raises(ValueError, match="bit length must be >= 1"):
-            [list(rows) for _, rows in kbit_listing(range(-2, 3))]
+        with pytest.raises(ValueError, match="bit length must be >= 0, got -2"):
+            kbit_listing(range(-2, 3))  # on the call, before the tables
 
 
 class TestCrossValidation:
