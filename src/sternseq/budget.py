@@ -2,12 +2,14 @@
 
 Full record scans and ``plot`` are bounded by a ceiling on the index
 bit length: indices below 2**ceiling are allowed, anything larger
-raises :class:`BudgetExceededError`.  Both read fixed-size windows
-(``core.running_windows``), so the ceiling bounds the work (the indices
-scanned), not the memory: a full scan at the default of 24 bits
-(``verify --k-range 12..24``) peaks at 29.7 MiB of resident memory,
-and neither peak grows with the ceiling.  The ``STERNSEQ_MAX_BITS``
-environment variable raises or lowers it.
+raises :class:`BudgetExceededError`.  The ceiling bounds the work, not
+the memory, and neither peak grows with it.  ``plot`` reads fixed-size
+windows (``core.running_windows``), so its work is the indices it
+writes.  The record scan is a branch and bound over the bits of the
+index (``records.records_scan``) whose work grows about as ``k**4``
+prefixes for ``k`` bits, not as ``2**k``; the default of 24 bits is
+kept for both.  The ``STERNSEQ_MAX_BITS`` environment variable raises
+or lowers it.
 """
 
 from __future__ import annotations

@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sternseq",
         description="Stern diatomic sequence: values, record-setters, verification.",
         epilog=(
-            f"Dense scans are limited to indices below 2**{DEFAULT_MAX_BITS} "
+            f"Record scans and plot are limited to indices below 2**{DEFAULT_MAX_BITS} "
             f"by default (override with {MAX_BITS_ENV_VAR})."
         ),
     )

@@ -35,7 +35,7 @@ last and has ``k`` bits.  :func:`kbit_listing` yields the rows of many bit
 lengths, from one pair of tables built for the longest, in exact decimal,
 a number type and context that only this module picks; so ``sternseq
 records`` never converts an index from binary to decimal text.
-:func:`scan_listing` lists one brute-force scan, whose record-setters are
+:func:`scan_listing` lists one exhaustive record scan, whose record-setters are
 plain ``(index, value)`` pairs, in the same shape, the one place that
 splits it by bit length; :func:`cross_validate` compares it with the
 closed forms, and each index formula with its family's bit pattern.
@@ -230,9 +230,10 @@ def kbit_rows(k: int):
 def scan_listing(k_values: range):
     """The scan as ``(k, rows)`` for each ``k`` in ``k_values``, as :func:`kbit_listing` lists.
 
-    The one :func:`~sternseq.records.records_scan` runs on the call, of at
-    least 1 bit, with its ceiling check; none runs for an empty range, and a
-    negative ``k`` raises ``ValueError`` first.  ``rows`` lists the
+    The one :func:`~sternseq.records.records_scan`, a branch and bound that
+    reads no dense window, runs on the call, of at least 1 bit, with its
+    ceiling check; none runs for an empty range, and a negative ``k``
+    raises ``ValueError`` first.  ``rows`` lists the
     ``(index, value, family, parameter)`` of the "A" record-setters of
     ``k`` bits, maybe none; a row has the family and parameter of the
     :func:`kbit_rows` row with its index, or ``None``, as below 12 bits.

@@ -9,7 +9,7 @@ Besides the recurrence this module provides two independent oracles --
 explicit enumeration of the representations and a carry-state dynamic
 program over the binary digits -- plus dense windows ``a(lo) .. a(hi - 1)``
 of any index range, computed without earlier values, and the one windowed
-pass with a running maximum that brute-force scans and ``plot`` read.
+pass with a running maximum that ``plot`` reads.
 """
 
 from __future__ import annotations
@@ -175,6 +175,8 @@ def _range(lo: int, hi: int, dtype: np.dtype) -> np.ndarray:
 
 def running_windows(lo: int, hi: int):
     """Yield ``(start, values, running)`` over ``[lo, hi)`` in windows of up to ``2**16`` indices.
+
+    This dense pass is what ``plot`` reads; the record scan reads no window.
 
     ``values`` is the window's :func:`stern_range`, ``running`` the maximum of ``a`` from ``lo``
     to each index: a constant column, not accumulated, where no value exceeds the one carried in.

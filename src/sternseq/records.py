@@ -7,8 +7,9 @@ sequence ``a`` itself (OEIS A212288), "S" records the shifted sequence
 on, each moved down by one with its value; only :func:`records_scan` and
 :func:`shifted_listing` apply that map.
 
-The scan here is deliberately dumb (linear, windowed) so it can act
-as ground truth for the closed-form classification and for the
+The scan here is an exhaustive branch and bound whose only premise is
+the split identity, proved in :func:`records_scan`, so it can act as
+ground truth for the closed-form classification and for the
 structural properties of record-setters: no ``11`` substring, no
 ``10000`` substring, ``1000`` only as a prefix, and decomposability
 into 10/100/1000 blocks.  :func:`verify_extremal_lemmas` exhaustively
@@ -25,7 +26,6 @@ from functools import lru_cache
 from typing import Literal, NamedTuple
 
 from .budget import check_bits_budget
-from .core import running_windows
 from .fibonacci import fib
 from .strings import Comparator, dominates, g_value, mu_of
 from .tables import SMALL_BITLENGTH_MAX
@@ -55,14 +55,25 @@ _BLOCKS_RE = re.compile(r"(?:10{1,3})+")
 
 @lru_cache(maxsize=8)
 def _records_scan_cached(k_max: int) -> tuple[tuple[int, int], ...]:
-    import numpy as np
-
     records = [(0, 0)]
-    for lo, _, running in running_windows(1, 1 << k_max):
-        top = records[-1][1]  # the running maximum before the window
-        if running[-1] > top:
-            rises = np.flatnonzero(np.insert(running[1:] > running[:-1], 0, running[0] > top))
-            records.extend(zip((rises + lo).tolist(), running[rises].tolist()))
+    top = 0  # the running maximum
+    peak = [1]  # peak[j]: the maximum of a on [0, 2**j], for each finished bit length j
+    for k in range(1, k_max + 1):
+        stack = [(1, 1, 1, k - 1)]  # (prefix m, a(m), a(m+1), bits left)
+        while stack:
+            m, x, y, left = stack.pop()
+            if not left:
+                if x > top:
+                    records.append((m, x))
+                    top = x
+                continue
+            bound = (x + y) * peak[left]
+            if left + 1 < len(peak):
+                bound = min(bound, max(x, y) * peak[left + 1])
+            if bound > top:
+                stack.append((2 * m + 1, x + y, y, left - 1))
+                stack.append((2 * m, x, x + y, left - 1))
+        peak.append(top)  # a(2**k) = 1 is no larger
     return tuple(records)
 
 
@@ -75,6 +86,23 @@ def records_scan(k_max: int, convention: Literal["A", "S"] = "A") -> list[tuple[
     exact: an "S" scan reads ``a(1 .. 2**k_max)``, and ``a(2**k_max) = 1``
     is never a record, since ``a(1) = 1`` comes first.  Raises
     ``BudgetExceededError`` when ``k_max`` exceeds the ceiling on index bits.
+
+    The scan is an exhaustive branch and bound over the bits of the index.
+    Its one premise is the split identity: for a prefix ``m`` with
+    ``(x, y) = (a(m), a(m+1))`` and ``0 <= t <= 2**L``,
+    ``a(2**L m + t) = a(2**L - t) x + a(t) y``.  By induction on ``L``: ``L = 0``
+    reads ``a(m)`` and ``a(m+1)``; the step takes ``t = 2s`` to ``s`` by
+    ``a(2n) = a(n)``, and ``t = 2s+1`` to ``s`` and ``s+1`` by
+    ``a(2n+1) = a(n) + a(n+1)``, on both sides.  At ``m = 1`` it reads
+    ``a(2**L - t) + a(t) = a(2**L + t)``.  So, with ``M[j]`` the maximum of
+    ``a`` on ``[0, 2**j]``, no completion of ``m`` by ``L`` more bits exceeds
+    ``min((x+y) M[L], max(x, y) M[L+1])``.  Each bit length is walked depth
+    first from ``m = 1``, the 0-child first, so the leaves come in index
+    order.  ``M[j]`` comes from the bit lengths already finished, and the
+    second term is used only where ``M[L+1]`` is known.  A prefix whose bound
+    is at most the running maximum is pruned, as nothing in it can set a
+    record, so the leaves that beat the running maximum are exactly the
+    record-setters.  The prefixes visited grow about as ``k_max**4``.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")

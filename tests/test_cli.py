@@ -490,6 +490,10 @@ def test_scalar_commands_do_not_import_numpy():
         "sternseq.cli.main(['records', '--bits', '40', '--source', 'closed-form'])\n"
         "assert 'numpy' not in sys.modules, 'imported by a scalar command'\n"
         "assert 'dataclasses' not in sys.modules, 'dataclasses imported by records'\n"
+        "sternseq.cli.main(['records', '--max-bits', '12'])\n"
+        "assert 'numpy' not in sys.modules, 'imported by the record scan'\n"
+        "sternseq.cli.main(['verify', '--k-range', '12..16'])\n"
+        "assert 'numpy' not in sys.modules, 'imported by verify'\n"
     )
     result = _run_child(script)
     assert result.returncode == 0, result.stderr

@@ -158,6 +158,57 @@ def test_shifted_listing_is_running_maximum_of_s_by_bit_length(source):
         assert found == [(k, n, v) for k, n, v in naive if k in k_values]
 
 
+def _dense_records(k, convention):
+    """``records_scan(k, convention)`` read from the dense pass, ``core.running_windows``.
+
+    "A" reads ``a`` on ``[0, 2**k)``, "S" reads it on ``[1, 2**k]``; a record is
+    an index where the running maximum rises, moved down by the pass's start.
+    """
+    import numpy as np
+
+    from sternseq.core import running_windows
+
+    lo = 0 if convention == "A" else 1
+    found, top = [], -1
+    for start, _, running in running_windows(lo, (1 << k) + lo):
+        running = running.astype(np.int64)
+        if running[-1] > top:
+            rises = np.flatnonzero(np.diff(running, prepend=top) > 0)
+            found.extend(zip((rises + start - lo).tolist(), running[rises].tolist()))
+            top = int(running[-1])
+    return found
+
+
+_DENSE_MAX_BITS = 22
+
+
+@pytest.fixture(scope="module")
+def dense_records():
+    """The dense pass's records below ``2**22``, in each convention."""
+    return {c: _dense_records(_DENSE_MAX_BITS, c) for c in ("A", "S")}
+
+
+@pytest.mark.parametrize("convention", ["A", "S"])
+@pytest.mark.parametrize("k", range(1, _DENSE_MAX_BITS + 1))
+def test_scan_matches_the_dense_pass(dense_records, k, convention):
+    assert records_scan(k, convention) == [
+        (n, v) for n, v in dense_records[convention] if n < 1 << k
+    ]
+
+
+def test_split_identity_exhaustively():
+    # The scan's one premise, for every prefix m < 2**8, L <= 8 more bits and 0 <= t <= 2**L.
+    a = [0, 1]
+    while len(a) <= (1 << 16) + (1 << 8) + 1:
+        n = len(a)
+        a.append(a[n // 2] if n % 2 == 0 else a[n // 2] + a[n // 2 + 1])
+    for L in range(9):
+        for t in range((1 << L) + 1):
+            assert a[(1 << L) - t] + a[t] == a[(1 << L) + t]
+            for m in range(1 << 8):
+                assert a[(m << L) + t] == a[(1 << L) - t] * a[m] + a[t] * a[m + 1]
+
+
 class TestScanCells:
     @pytest.fixture
     def records_module(self):
@@ -169,17 +220,15 @@ class TestScanCells:
 
     @pytest.mark.parametrize("convention", ["A", "S"])
     @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 37, 64])
-    def test_every_chunk_size_matches_running_maximum(
-        self, monkeypatch, records_module, chunk, convention
-    ):
-        # Small windows carry the running maximum across many boundaries;
-        # window size 1 makes every record the first index of its window.
+    def test_every_chunk_size_matches_running_maximum(self, monkeypatch, chunk, convention):
+        # Small windows carry the dense pass's running maximum across many
+        # boundaries; window size 1 makes every record the first index of its window.
         from sternseq import core
 
         monkeypatch.setattr(core, "_WINDOW", chunk)
         for k in range(1, 13):
             expected = [(n, v) for n, v in _RUNNING_MAXIMUM[convention] if n < 1 << k]
-            assert records_scan(k, convention) == expected
+            assert _dense_records(k, convention) == expected
 
     def test_index_and_value_are_python_ints(self, records_module):
         for convention in ("A", "S"):
@@ -187,11 +236,12 @@ class TestScanCells:
                 assert type(index) is int and type(value) is int
 
     @pytest.mark.parametrize("k", [1, 12, 21])
-    def test_scan_asks_for_the_narrowest_exact_cells(self, monkeypatch, records_module, k):
+    def test_scan_asks_for_the_narrowest_exact_cells(self, monkeypatch, k):
+        # The dense pass that plot reads, over the indices below 2**k.
         import numpy as np
 
         from sternseq import core
-        from sternseq.core import _cell_dtype
+        from sternseq.core import _cell_dtype, running_windows
 
         cells = []
         stern_range = core.stern_range
@@ -202,7 +252,8 @@ class TestScanCells:
             return window
 
         monkeypatch.setattr(core, "stern_range", spy)
-        records_scan(k, "A")
+        for _ in running_windows(0, 1 << k):
+            pass
         assert cells and set(cells) == {_cell_dtype(k)} == {np.dtype(np.uint32)}
 
 
