@@ -170,19 +170,21 @@ def _decimal_lines(columns, sep: str) -> bytes:
     """Equal-length, non-empty columns of non-negative integers as ASCII lines, one per row.
 
     Each column is a numpy integer array of its own width (``plot`` puts
-    int64 indices beside values in their narrowest cells).  The text is
-    laid out position-major: each column gets as many text positions as
-    its largest number has digits, then one for ``sep`` (a newline after
-    the last column), and each position is one contiguous byte row over
-    all the lines.  Digits are filled from the right by division by 10,
-    in uint32 when the column has at most 9 digits and in its own cells
-    otherwise.  A position left of a number's leading digit holds NUL,
-    and the last digit is always written, so 0 is "0".  A column that
-    changes value in fewer than a quarter of its rows (``plot``'s running
-    maximum) has only the first number of each run formatted, and each
-    position's bytes repeated over the run.  The lines are the bytes in
-    row-major order with every NUL deleted (no separator is NUL),
-    returned as ``bytes`` for a binary stream.
+    uint32 indices, int64 from ``2**32`` on, beside values in their
+    narrowest cells).  The text is laid out position-major: each column
+    gets as many text positions as its largest number has digits, then
+    one for ``sep`` (a newline after the last column), and each position
+    is one contiguous byte row over all the lines.  Digits are filled
+    from the right by division by 10, in uint32 when the column has at
+    most 9 digits and in its own cells otherwise.  A position left of a
+    number's leading digit holds NUL, and the last digit is always
+    written, so 0 is "0".  A column that changes value in fewer than a
+    quarter of its rows (``plot``'s running maximum) has only the first
+    number of each run formatted, and each position's bytes repeated
+    over the run.  The lines are the bytes in row-major order with every
+    NUL deleted (no separator is NUL), returned as ``bytes`` for a binary
+    stream.  The position-major text is freed once its row-major copy is
+    made, so at most two of the three text buffers are live at once.
     """
     import numpy as np
 
@@ -212,13 +214,16 @@ def _decimal_lines(columns, sep: str) -> bytes:
             text[at : at + width] = np.repeat(digits, np.diff(starts, append=rows), axis=1)
         text[at + width] = ord("\n" if i == len(columns) - 1 else sep)
         at += width + 1
-    return text.T.tobytes().replace(b"\0", b"")
+    lines = text.T.tobytes()
+    del text, digits, row  # digits and row may be views of text
+    return lines.replace(b"\0", b"")
 
 
-#: Rows of a window that ``plot`` formats in one call.  A block's text
-#: buffers (about 300 KB) stay in the heap and are reused by the next
-#: block; those of a whole window (about 3.5 MB) are handed back to the
-#: OS when freed and faulted in again by the next window.
+#: Rows of a window that ``plot`` formats in one call, each block with its
+#: own index column.  A block's text buffers (about 300 KB) stay in the
+#: heap and are reused by the next block; those of a whole window (about
+#: 3.5 MB) are handed back to the OS when freed and faulted in again by
+#: the next window.
 _PLOT_BLOCK = 1 << 14
 
 
@@ -233,10 +238,12 @@ def cmd_plot(args) -> int:
         out.flush()  # the windows go straight to the byte stream underneath, if there is one
         write = out.buffer.write if hasattr(out, "buffer") else lambda b: out.write(b.decode())
         for lo, values, running in running_windows(0, args.max + 1):
-            indices = np.arange(lo, lo + len(values), dtype=np.int64)
             for at in range(0, len(values), _PLOT_BLOCK):
                 block = slice(at, at + _PLOT_BLOCK)
-                write(_decimal_lines((indices[block], values[block], running[block]), sep))
+                stop = lo + min(at + _PLOT_BLOCK, len(values))
+                cells = np.uint32 if stop <= 1 << 32 else np.int64  # holds the last index
+                indices = np.arange(lo + at, stop, dtype=cells)
+                write(_decimal_lines((indices, values[block], running[block]), sep))
     return EXIT_OK
 
 

@@ -327,15 +327,58 @@ class TestPlot:
             expected.append(f"{n}{sep}{stern_a(n)}{sep}{top}\n")
         assert capsys.readouterr().out == "".join(expected)
 
+    def test_index_cells_are_one_block_of_uint32(self, capsys, monkeypatch):
+        # Each block makes its own index column, in uint32 cells below 2**32.
+        monkeypatch.setattr(core, "_WINDOW", 7)
+        monkeypatch.setattr(cli, "_PLOT_BLOCK", 3)
+        seen = []
+        decimal_lines = cli._decimal_lines
+
+        def spy(columns, sep):
+            seen.append(columns[0])
+            return decimal_lines(columns, sep)
+
+        monkeypatch.setattr(cli, "_decimal_lines", spy)
+        assert main(["plot", "--max", "100"]) == EXIT_OK
+        assert np.concatenate(seen).tolist() == list(range(101))
+        assert all(len(indices) <= 3 and indices.dtype != np.int64 for indices in seen)
+
+    def test_index_cells_widen_at_two_to_the_32(self, capsys, monkeypatch):
+        # One short window across 2**32: its cell type must hold the block's last index.
+        lo = 2**32 - 3
+        values = np.array([5, 8, 3, 7, 4], np.uint32)
+        running = np.maximum.accumulate(values)
+        monkeypatch.setattr(cli, "running_windows", lambda start, stop: iter([(lo, values, running)]))
+        assert main(["plot", "--max", "4"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            "4294967293,5,5",
+            "4294967294,8,8",
+            "4294967295,3,8",
+            "4294967296,7,8",
+            "4294967297,4,8",
+        ]
+
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
     def test_peak_memory_hardly_grows_with_max(self):
         # 32 windows of text add less than 4 MiB to the peak of a one-row plot.
+        # A small launcher reaps each plot: exec folds the spawning process's peak
+        # into the child's ru_maxrss, so a child of this test process would report
+        # the test process's own peak, at both sizes.
         def peak_kib(n_max):
-            proc = _spawn(["plot", "--max", str(n_max)], stdout=subprocess.DEVNULL)
-            _, status, usage = os.wait4(proc.pid, 0)
-            proc.returncode = os.waitstatus_to_exitcode(status)
-            assert proc.returncode == EXIT_OK
-            return usage.ru_maxrss
+            script = (
+                "import os, subprocess, sys\n"
+                "os.environ.pop('PYTHONUNBUFFERED', None)\n"
+                "main = 'import sys; from sternseq.cli import main; sys.exit(main())'\n"
+                f"argv = [sys.executable, '-c', main, 'plot', '--max', '{n_max}']\n"
+                "proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL)\n"
+                "_, status, usage = os.wait4(proc.pid, 0)\n"
+                "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+            )
+            result = _run_child(script)
+            assert result.returncode == 0, result.stderr
+            code, kib = map(int, result.stdout.split())
+            assert code == EXIT_OK
+            return kib
 
         assert peak_kib(2097151) - peak_kib(0) < 4 * 1024
 
